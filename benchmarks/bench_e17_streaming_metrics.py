@@ -16,10 +16,10 @@ pins the two claims that refactor stands on:
   re-scan at the end).  The acceptance bar is ≥2x lower peak; measured
   is far lower, since fold state is O(members), not O(events).
 
-A third pin covers the PR's clock satellite: the VirtualClock heap
-entry is slotted, and its measured per-entry footprint stays under
-:data:`CLOCK_ENTRY_BYTES` — a 10k-timer fleet's scheduler overhead is
-bounded.
+A third pin covers the clock: a VirtualClock heap entry is a
+dict-free four-item list, and its measured per-entry footprint stays
+under :data:`CLOCK_ENTRY_BYTES` — a 10k-timer fleet's scheduler
+overhead is bounded.
 
 The module doubles as the CI artifact writer: ``python
 benchmarks/bench_e17_streaming_metrics.py`` runs the same checks
@@ -51,7 +51,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: Streaming peak must be below this fraction of the buffered peak
 #: (the acceptance criterion is ≥2x lower, i.e. < 0.5).
 MEMORY_BAR = 0.5
-#: Upper bound on one slotted VirtualClock heap entry (bytes),
+#: Upper bound on one VirtualClock heap entry (bytes),
 #: including its share of heap-list and args-tuple overhead.
 CLOCK_ENTRY_BYTES = 200
 #: Synthetic stream size for the memory cell.

@@ -23,60 +23,57 @@ Example
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from ..errors import ClockError
 
 __all__ = ["EventHandle", "PeriodicHandle", "VirtualClock", "periodic"]
 
-
-@dataclass(order=True, slots=True)
-class _ScheduledEvent:
-    """Internal heap entry.
-
-    Ordering is (time, sequence) so that events scheduled for the same
-    instant run in FIFO order — a property several tests and the global
-    clock admission controller rely on.  Slotted because a fleet run
-    keeps one heap entry alive per scheduled event across thousands of
-    concurrent sessions; the per-instance ``__dict__`` would dominate
-    the scheduler's footprint.
-    """
-
-    time: float
-    seq: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+_INF = math.inf
 
 
 class EventHandle:
-    """Cancellation handle returned by :meth:`VirtualClock.call_at`."""
+    """Cancellation handle returned by :meth:`VirtualClock.call_at`.
 
-    __slots__ = ("_event",)
+    It wraps the event's heap entry: cancelling clears the entry's
+    callback slot in place, so the entry is skipped when popped.
+    """
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already ran or was cancelled."""
-        self._event.cancelled = True
+        self._entry[2] = None
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._entry[2] is None
 
     @property
     def when(self) -> float:
         """The virtual time at which the event is (was) due."""
-        return self._event.time
+        return self._entry[0]
 
 
 class VirtualClock:
     """A discrete-event scheduler over virtual seconds.
+
+    Heap entries are ``[time, seq, callback, args]`` lists, so ordering
+    runs in C's sequence comparison: ``seq`` is unique, which makes
+    same-instant events run in FIFO order (a property several tests and
+    the global clock admission controller rely on) and keeps the
+    comparison from ever reaching ``callback``.  Lists rather than
+    tuples because an entry is its own cancellation record (a cancelled
+    entry's ``callback`` is ``None``) and a :func:`periodic` series
+    re-pushes one entry for every occurrence.  Only ``callback`` of an
+    entry in the heap is ever written; time and seq change only while
+    the entry is out of the heap.
 
     Parameters
     ----------
@@ -86,9 +83,8 @@ class VirtualClock:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._heap: list[_ScheduledEvent] = []
+        self._heap: list[list] = []
         self._counter = itertools.count()
-        self._running = False
 
     # ------------------------------------------------------------------
     # Time observation
@@ -99,14 +95,14 @@ class VirtualClock:
 
     def pending(self) -> int:
         """Number of scheduled, not-yet-cancelled events."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if entry[2] is not None)
 
     def next_event_time(self) -> float | None:
         """Time of the earliest pending event, or ``None`` if idle."""
         self._drop_cancelled_head()
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -123,16 +119,11 @@ class VirtualClock:
             non-finite deadline compares ``False`` against everything
             and would silently corrupt the heap order.
         """
-        if not math.isfinite(when):
-            raise ClockError(f"event time must be finite, got {when!r}")
-        if when < self._now:
-            raise ClockError(
-                f"cannot schedule event at t={when:.6f}; "
-                f"clock is already at t={self._now:.6f}"
-            )
-        event = _ScheduledEvent(float(when), next(self._counter), callback, args)
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
+        if not self._now <= when < _INF:
+            self._reject(when)
+        entry = [float(when), next(self._counter), callback, args]
+        heappush(self._heap, entry)
+        return EventHandle(entry)
 
     def call_later(
         self, delay: float, callback: Callable[..., Any], *args: Any
@@ -141,6 +132,17 @@ class VirtualClock:
         if delay < 0:
             raise ClockError(f"negative delay: {delay!r}")
         return self.call_at(self._now + delay, callback, *args)
+
+    def schedule(self, when: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``callback(*args)`` at ``when`` with no handle.
+
+        The fire-and-forget form of :meth:`call_at` for events that are
+        never cancelled (network deliveries): it allocates no
+        :class:`EventHandle`.  Ordering and validation are the same.
+        """
+        if not self._now <= when < _INF:
+            self._reject(when)
+        heappush(self._heap, [float(when), next(self._counter), callback, args])
 
     # ------------------------------------------------------------------
     # Execution
@@ -151,13 +153,14 @@ class VirtualClock:
         Returns ``True`` if an event ran, ``False`` if the queue was
         empty.  Callbacks may schedule further events.
         """
-        self._drop_cancelled_head()
-        if not self._heap:
-            return False
-        event = heapq.heappop(self._heap)
-        self._now = event.time
-        event.callback(*event.args)
-        return True
+        heap = self._heap
+        while heap:
+            when, _, callback, args = heappop(heap)
+            if callback is not None:
+                self._now = when
+                callback(*args)
+                return True
+        return False
 
     def run_until(self, deadline: float) -> int:
         """Run all events due at or before ``deadline``.
@@ -172,13 +175,18 @@ class VirtualClock:
             raise ClockError(
                 f"deadline t={deadline:.6f} is before now t={self._now:.6f}"
             )
+        heap = self._heap
+        step = self.step
         count = 0
-        while True:
-            self._drop_cancelled_head()
-            if not self._heap or self._heap[0].time > deadline:
+        while heap:
+            head = heap[0]
+            if head[2] is None:
+                heappop(heap)
+            elif head[0] > deadline:
                 break
-            self.step()
-            count += 1
+            else:
+                step()
+                count += 1
         self._now = deadline
         return count
 
@@ -202,35 +210,65 @@ class VirtualClock:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _reject(self, when: float) -> None:
+        """Raise the ClockError for a time that fails the
+        ``now <= when < inf`` check (which also rejects NaN)."""
+        if not math.isfinite(when):
+            raise ClockError(f"event time must be finite, got {when!r}")
+        raise ClockError(
+            f"cannot schedule event at t={when:.6f}; "
+            f"clock is already at t={self._now:.6f}"
+        )
+
     def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heappop(heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self._now:.6f}, pending={self.pending()})"
 
 
-class PeriodicHandle:
+class PeriodicHandle(EventHandle):
     """Handle for a periodic series started by :func:`periodic`.
 
-    Cancelling stops all future occurrences of the series.
+    The series owns one heap entry and re-pushes it after every
+    occurrence with a fresh time and seq, so a running series allocates
+    no entry and no handle per tick.  Cancelling stops all future
+    occurrences of the series.
     """
 
-    __slots__ = ("_current", "_stopped")
+    __slots__ = ("_clock", "_interval", "_callback", "_remaining")
 
-    def __init__(self) -> None:
-        self._current: EventHandle | None = None
-        self._stopped = False
+    def __init__(
+        self,
+        clock: VirtualClock,
+        first: float,
+        interval: float,
+        callback: Callable[[], Any],
+        count: int | None,
+    ) -> None:
+        super().__init__(clock.call_at(first, self._tick)._entry)
+        self._clock = clock
+        self._interval = interval
+        self._callback = callback
+        self._remaining = count
 
-    def cancel(self) -> None:
-        """Stop all future occurrences of the series."""
-        self._stopped = True
-        if self._current is not None:
-            self._current.cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._stopped
+    def _tick(self) -> None:
+        self._callback()
+        remaining = self._remaining
+        if remaining is not None:
+            remaining -= 1
+            self._remaining = remaining
+            if remaining == 0:
+                return
+        # The entry was popped to run this tick.  If the callback
+        # cancelled the series, the re-pushed entry is skipped.
+        clock = self._clock
+        entry = self._entry
+        entry[0] = clock._now + self._interval
+        entry[1] = next(clock._counter)
+        heappush(clock._heap, entry)
 
 
 def periodic(
@@ -255,24 +293,11 @@ def periodic(
     PeriodicHandle
         Cancel it to stop the whole series.
     """
-    if interval <= 0:
-        raise ClockError(f"periodic interval must be positive, got {interval!r}")
+    if not 0 < interval < _INF:
+        raise ClockError(
+            f"periodic interval must be positive and finite, got {interval!r}"
+        )
     if count is not None and count < 1:
         raise ClockError(f"periodic count must be at least 1, got {count!r}")
-
-    handle = PeriodicHandle()
-    calls_done = 0
-
-    def _tick() -> None:
-        nonlocal calls_done
-        if handle.cancelled:
-            return
-        callback()
-        calls_done += 1
-        if count is not None and calls_done >= count:
-            return
-        handle._current = clock.call_later(interval, _tick)
-
     first = start_at if start_at is not None else clock.now() + interval
-    handle._current = clock.call_at(first, _tick)
-    return handle
+    return PeriodicHandle(clock, first, interval, callback, count)

@@ -232,35 +232,43 @@ class Network:
         ``False`` if it was dropped (loss, a downed link, or a downed
         target — senders do not learn which, as on a real network).
         """
-        self._check_host(source)
-        self._check_host(target)
+        hosts = self._hosts
+        if source not in hosts:
+            raise UnknownHostError(f"unknown host {source!r}")
+        host = hosts.get(target)
+        if host is None:
+            raise UnknownHostError(f"unknown host {target!r}")
         if size_bytes < 0:
             raise NetworkError(f"negative message size: {size_bytes!r}")
         link = self._links.get((source, target), self._default_link)
         if link is None:
             raise NetworkError(f"no link from {source!r} to {target!r}")
-        self.stats.sent += 1
+        stats = self.stats
+        stats.sent += 1
         if not link.up:
             # The wire is cut (partition): the message never leaves.
-            self.stats.blocked += 1
+            stats.blocked += 1
             return False
-        if not self._hosts[target].up:
-            self.stats.to_down_host += 1
+        if not host.up:
+            stats.to_down_host += 1
             return False
         if link.loss_probability > 0 and self.rng.random() < link.loss_probability:
-            self.stats.dropped += 1
+            stats.dropped += 1
             return False
         delay = link.base_latency
         if link.jitter > 0:
             delay += self.rng.uniform(0.0, link.jitter)
+        clock = self.clock
+        now = clock.now()
         if link.bandwidth_kbps is not None:
             serialization = (size_bytes * 8) / (link.bandwidth_kbps * 1000.0)
-            now = self.clock.now()
             start = max(now, link._busy_until)
             link._busy_until = start + serialization
             delay += (start - now) + serialization
-        deliver_at = self.clock.now() + delay
-        self.clock.call_at(deliver_at, self._deliver, source, target, payload, delay)
+        # Deliveries are never cancelled, so they take the handle-free
+        # path; the Host record itself rides along (hosts are never
+        # removed), sparing a lookup at delivery.
+        clock.schedule(now + delay, self._deliver, source, host, payload, delay)
         return True
 
     def broadcast(
@@ -279,14 +287,14 @@ class Network:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _deliver(self, source: str, target: str, payload: Any, delay: float) -> None:
-        host = self._hosts.get(target)
-        if host is None or not host.up:
+    def _deliver(self, source: str, host: Host, payload: Any, delay: float) -> None:
+        stats = self.stats
+        if not host.up:
             # Host went down while the message was in flight.
-            self.stats.to_down_host += 1
+            stats.to_down_host += 1
             return
-        self.stats.delivered += 1
-        self.stats.total_latency += delay
+        stats.delivered += 1
+        stats.total_latency += delay
         host.handler(source, payload)
 
     def _check_host(self, name: str) -> None:

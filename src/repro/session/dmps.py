@@ -89,6 +89,17 @@ class DMPSServer:
         self._host_of_member: dict[str, str] = {}
         #: invitation ids already forwarded to their invitee.
         self._forwarded_invitations: set[int] = set()
+        #: message type -> handler(sender_host, message).
+        self._handlers = {
+            Hello: self._on_hello,
+            FloorRequestMsg: self._on_floor_request,
+            ReleaseFloorMsg: self._on_release,
+            Post: self._on_post,
+            SyncRequestMsg: self._on_sync,
+            Heartbeat: self._on_heartbeat,
+            InviteResponseMsg: self._on_invite_response,
+            OpenSubgroupMsg: self._on_open_subgroup,
+        }
         network.add_host(host_name, self._on_message)
         self.presence.start()
 
@@ -160,23 +171,12 @@ class DMPSServer:
     # Message dispatch
     # ------------------------------------------------------------------
     def _on_message(self, sender_host: str, message) -> None:
-        if isinstance(message, Hello):
-            self._on_hello(sender_host, message)
-        elif isinstance(message, FloorRequestMsg):
-            self._on_floor_request(sender_host, message)
-        elif isinstance(message, ReleaseFloorMsg):
-            self._on_release(sender_host, message)
-        elif isinstance(message, Post):
-            self._on_post(sender_host, message)
-        elif isinstance(message, SyncRequestMsg):
-            self._on_sync(sender_host, message)
-        elif isinstance(message, Heartbeat):
-            self._on_heartbeat(message)
-        elif isinstance(message, InviteResponseMsg):
-            self._on_invite_response(message)
-        elif isinstance(message, OpenSubgroupMsg):
-            self._on_open_subgroup(sender_host, message)
-        # Unknown messages are dropped silently, as a robust server must.
+        # One dict lookup per message, whatever its type (heartbeats are
+        # most of the traffic).  Unknown messages are dropped silently,
+        # as a robust server must.
+        handler = self._handlers.get(type(message))
+        if handler is not None:
+            handler(sender_host, message)
 
     def _on_hello(self, sender_host: str, message: Hello) -> None:
         if message.member not in self._host_of_member:
@@ -293,13 +293,13 @@ class DMPSServer:
             ),
         )
 
-    def _on_heartbeat(self, message: Heartbeat) -> None:
+    def _on_heartbeat(self, sender_host: str, message: Heartbeat) -> None:
         try:
             self.presence.heartbeat(message.member)
         except SessionError:
             pass  # heartbeat raced ahead of the Hello; ignore
 
-    def _on_invite_response(self, message: InviteResponseMsg) -> None:
+    def _on_invite_response(self, sender_host: str, message: InviteResponseMsg) -> None:
         try:
             self.control.respond(message.invitation_id, message.accept)
         except FloorControlError:
@@ -515,11 +515,7 @@ class DMPSClient:
         """Begin periodic liveness beacons (idempotent)."""
         if self._heartbeats is not None:
             return
-        self._heartbeats = periodic(
-            self.clock,
-            interval,
-            lambda: self._send(Heartbeat(member=self.member, sent_at=self.clock.now())),
-        )
+        self._heartbeats = periodic(self.clock, interval, self._heartbeat)
 
     def stop_heartbeats(self) -> None:
         """Cancel the heartbeat loop."""
@@ -610,6 +606,9 @@ class DMPSClient:
         elif isinstance(message, SubgroupOpenedMsg):
             self.state.my_subgroups.append(message.group)
             self.replicas.setdefault(message.group, WhiteboardReplica(message.group))
+
+    def _heartbeat(self) -> None:
+        self._send(Heartbeat(member=self.member, sent_at=self.clock.now()))
 
     def _send(self, payload) -> None:
         self.network.send(self.host_name, self.server_host, payload)

@@ -258,11 +258,104 @@ class TestPeriodic:
         with pytest.raises(ClockError):
             periodic(VirtualClock(), 1.0, lambda: None, count=0)
 
+    @pytest.mark.parametrize("interval", [float("inf"), float("nan")])
+    def test_periodic_rejects_non_finite_interval(self, interval):
+        clock = VirtualClock()
+        with pytest.raises(ClockError):
+            periodic(clock, interval, lambda: None, start_at=1.0)
+        assert clock.pending() == 0
+
+    def test_periodic_rejects_start_in_the_past(self):
+        clock = VirtualClock(start=5.0)
+        with pytest.raises(ClockError):
+            periodic(clock, 1.0, lambda: None, start_at=4.0)
+
+    def test_periodic_rearms_one_heap_entry(self):
+        # Every occurrence re-pushes the series' single heap entry: a
+        # long series allocates no entry and no handle per tick.
+        clock = VirtualClock()
+        handle = periodic(clock, 0.25, lambda: None)
+        (first,) = clock._heap
+        for tick in range(1, 9):
+            (entry,) = clock._heap
+            assert entry is first
+            assert handle.when == tick * 0.25
+            assert clock.step()
+
+    def test_periodic_cancelled_by_its_callback_stops_cleanly(self):
+        clock = VirtualClock()
+        times = []
+
+        def once():
+            times.append(clock.now())
+            handle.cancel()
+
+        handle = periodic(clock, 1.0, once)
+        assert clock.run_until(10.0) == 1
+        assert times == [1.0]
+        assert clock.pending() == 0
+
+    def test_periodic_interleaves_fifo_with_same_instant_events(self):
+        # A re-armed occurrence takes its FIFO slot at re-arm time, so
+        # it runs after events already scheduled for the same instant.
+        clock = VirtualClock()
+        order = []
+        clock.call_at(2.0, order.append, "early")
+        periodic(clock, 1.0, lambda: order.append(f"tick@{clock.now():g}"))
+        clock.call_at(1.0, order.append, "late")
+        clock.run_until(2.0)
+        assert order == ["tick@1", "late", "early", "tick@2"]
+
+
+class TestSchedule:
+    def test_schedule_runs_like_call_at(self):
+        clock = VirtualClock()
+        seen = []
+        assert clock.schedule(1.5, seen.append, "x") is None
+        assert clock.pending() == 1
+        assert clock.next_event_time() == 1.5
+        clock.run_until(2.0)
+        assert seen == ["x"]
+
+    def test_schedule_shares_fifo_order_with_call_at(self):
+        clock = VirtualClock()
+        order = []
+        clock.call_at(1.0, order.append, 1)
+        clock.schedule(1.0, order.append, 2)
+        clock.call_at(1.0, order.append, 3).cancel()
+        clock.schedule(1.0, order.append, 4)
+        clock.run()
+        assert order == [1, 2, 4]
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf"), -1.0])
+    def test_schedule_rejects_bad_times(self, when):
+        clock = VirtualClock()
+        with pytest.raises(ClockError):
+            clock.schedule(when, lambda: None)
+        assert clock.pending() == 0
+
+    def test_integer_times_are_stored_as_floats(self):
+        clock = VirtualClock()
+        clock.schedule(2, lambda: None)
+        clock.run()
+        assert isinstance(clock.now(), float)
+
+
+class TestRunUntilHead:
+    def test_cancelled_head_never_lets_a_later_event_jump_the_deadline(self):
+        clock = VirtualClock()
+        seen = []
+        clock.call_at(1.0, seen.append, "cancelled").cancel()
+        clock.call_at(5.0, seen.append, "later")
+        assert clock.run_until(2.0) == 0
+        assert seen == [] and clock.now() == 2.0
+        assert clock.pending() == 1
+
 
 class TestFootprint:
     def test_scheduled_events_carry_no_dict(self):
         # A 10k-session fleet keeps one heap entry per pending timer;
-        # slotted entries are what keeps that footprint flat.
+        # dict-free entries (four-item lists) keep that footprint flat.
         clock = VirtualClock()
         clock.call_at(1.0, lambda: None)
         (entry,) = clock._heap
@@ -271,9 +364,10 @@ class TestFootprint:
             entry.stray = 1
 
     def test_pending_timer_footprint_is_pinned(self):
-        # The slotted entry plus its share of heap-list and args-tuple
-        # overhead stays under 200 bytes; an instance dict alone would
-        # roughly double that.  bench_e17 measures the same number.
+        # The entry list plus its share of heap-list and args-tuple
+        # overhead stays under 200 bytes (~150 measured); an instance
+        # dict alone would roughly double that.  bench_e17 measures the
+        # same number.
         import tracemalloc
 
         clock = VirtualClock()
@@ -323,3 +417,107 @@ class TestPropertyBased:
         while clock.step():
             pass
         assert all(a <= b for a, b in zip(observed, observed[1:]))
+
+
+class _ReferenceClock:
+    """The scheduling contract spelled out naively: of the live events
+    due by the deadline, the one with the smallest (time, scheduling
+    order) runs next; a periodic occurrence is re-scheduled after its
+    callback, taking a fresh place in that order."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.order = 0
+        self.events = []
+
+    def add(self, when, label, interval=None, remaining=None):
+        self.order += 1
+        event = {"time": when, "order": self.order, "label": label,
+                 "interval": interval, "remaining": remaining, "cancelled": False}
+        self.events.append(event)
+        return event
+
+    def cancel(self, event):
+        event["cancelled"] = True
+        # A periodic series is one logical event: cancel its next occurrence.
+        for other in self.events:
+            if other["label"] == event["label"]:
+                other["cancelled"] = True
+
+    def pending(self):
+        return sum(1 for event in self.events if not event["cancelled"])
+
+    def run_until(self, deadline, fired):
+        count = 0
+        while True:
+            due = [e for e in self.events if not e["cancelled"] and e["time"] <= deadline]
+            if not due:
+                break
+            event = min(due, key=lambda e: (e["time"], e["order"]))
+            self.events.remove(event)
+            self.now = event["time"]
+            fired.append(event["label"])
+            count += 1
+            remaining = event["remaining"]
+            if event["interval"] is not None and remaining != 1:
+                self.add(
+                    self.now + event["interval"], event["label"], event["interval"],
+                    None if remaining is None else remaining - 1,
+                )
+        self.events = [e for e in self.events if not e["cancelled"]]
+        self.now = deadline
+        return count
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("call_at"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.5, 1.0])),
+        st.tuples(
+            st.just("periodic"), st.sampled_from([0.5, 1.0]), st.sampled_from([None, 1, 3])
+        ),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=15)),
+        st.tuples(st.just("run_until"), st.sampled_from([0.0, 0.5, 1.25, 3.0])),
+    ),
+    max_size=40,
+)
+
+
+class TestAgainstReferenceModel:
+    @given(_OPS)
+    def test_generated_schedules_fire_like_the_reference(self, ops):
+        clock, model = VirtualClock(), _ReferenceClock()
+        fired, expected = [], []
+        handles = []
+        for index, op in enumerate(ops):
+            kind = op[0]
+            if kind in ("call_at", "schedule"):
+                when = clock.now() + op[1]
+                if kind == "call_at":
+                    handle = clock.call_at(when, fired.append, index)
+                    handles.append((handle, model.add(when, index)))
+                else:
+                    clock.schedule(when, fired.append, index)
+                    model.add(when, index)
+            elif kind == "periodic":
+                __, interval, count = op
+                handle = periodic(
+                    clock, interval, lambda label=index: fired.append(label), count=count
+                )
+                handles.append(
+                    (handle, model.add(clock.now() + interval, index, interval, count))
+                )
+            elif kind == "cancel":
+                if handles:
+                    handle, event = handles[op[1] % len(handles)]
+                    handle.cancel()
+                    model.cancel(event)
+            else:
+                deadline = clock.now() + op[1]
+                assert clock.run_until(deadline) == model.run_until(deadline, expected)
+                assert fired == expected
+                assert clock.now() == model.now
+            assert clock.pending() == model.pending()
+        deadline = clock.now() + 10.0
+        assert clock.run_until(deadline) == model.run_until(deadline, expected)
+        assert fired == expected

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clock.virtual import VirtualClock
-from repro.errors import NetworkError, UnknownHostError
+from repro.errors import ClockError, NetworkError, UnknownHostError
 from repro.net.simnet import Link, Network
 from repro.net.topology import build_star
 from repro.net.transport import ReliableChannel
@@ -150,6 +150,22 @@ class TestBasicDelivery:
         clock, network, __, __ = make_pair()
         with pytest.raises(NetworkError):
             network.send("a", "b", "x", size_bytes=-1)
+
+    def test_unknown_source_reported_before_unknown_target(self):
+        clock, network, __, __ = make_pair()
+        with pytest.raises(UnknownHostError, match="'ghost'"):
+            network.send("ghost", "phantom", "x")
+        assert network.stats.sent == 0
+
+    def test_non_finite_latency_never_reaches_the_heap(self):
+        clock, network, __, inbox_b = make_pair(link=Link(base_latency=float("inf")))
+        with pytest.raises(ClockError, match="finite"):
+            network.send("a", "b", "x")
+        assert clock.pending() == 0
+        network.link("a", "b").base_latency = 0.01
+        assert network.send("a", "b", "y")
+        clock.run_until(1.0)
+        assert inbox_b == [("a", "y")]
 
     def test_fifo_on_single_link_without_jitter(self):
         clock, network, __, inbox_b = make_pair()

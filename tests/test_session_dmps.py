@@ -6,6 +6,7 @@ from repro.clock.virtual import VirtualClock
 from repro.core.modes import FCMMode
 from repro.net.simnet import Link, Network
 from repro.session.dmps import DMPSClient, DMPSServer
+from repro.session.messages import Heartbeat
 from repro.session.presence import Light
 
 
@@ -150,6 +151,28 @@ class TestPresenceIntegration:
         clients["alice"].reconnect()
         clock.run_until(8.0)
         assert server.presence.light_of("alice") is Light.GREEN
+
+    def test_server_drops_unknown_messages_and_early_heartbeats(self):
+        clock, network, server, clients = classroom()
+        network.add_host("stranger", lambda s, p: None)
+        network.connect_both("server", "stranger", Link(base_latency=0.01))
+        network.send("stranger", "server", object())
+        network.send("stranger", "server", Heartbeat(member="nobody", sent_at=1.0))
+        clients["alice"].start_heartbeats(0.25)
+        clock.run_until(3.0)
+        assert server.presence.light_of("alice") is Light.GREEN
+        assert network.stats.delivered > 2
+
+    def test_heartbeats_stop_with_their_series(self):
+        clock, network, __, clients = classroom()
+        alice = clients["alice"]
+        alice.start_heartbeats(0.25)
+        clock.run_until(2.0)
+        sent = network.stats.sent
+        alice.stop_heartbeats()
+        clock.run_until(4.0)
+        assert network.stats.sent == sent
+        assert clock.pending() == 1  # only the presence sweep is left
 
     def test_down_client_misses_board_updates_until_back(self):
         clock, __, server, clients = classroom()
