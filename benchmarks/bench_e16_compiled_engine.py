@@ -15,7 +15,7 @@ without changing a single byte of the record:
   replays clean through the PR-5 oracle
   (:func:`~repro.events.replay.replay_transcript` → ``ok``);
 * **Fleet** — the fabric's ``engine="compiled"`` path folds the exact
-  :class:`~repro.fabric.metrics.FleetMetrics` of the batch engine
+  :class:`~repro.metrics.aggregate.FleetMetrics` of the batch engine
   (canonical JSON bytes match) while re-measuring E15's events/sec on
   the compiled path.
 
@@ -32,8 +32,7 @@ from pathlib import Path
 
 from timing import best_of_rate, measure_seconds
 
-from repro.api.policies import make_policy
-from repro.engine import compile_policy, compiled_policy_names
+from repro.engine import compiled_policy_names, make_engine_policy
 from repro.events.replay import build_meta, replay_transcript
 from repro.events.transcript import (
     dumps_transcript,
@@ -89,12 +88,6 @@ def seeded_workload():
     ]
 
 
-def make_engine(policy_name: str, engine: str):
-    if engine == "compiled":
-        return compile_policy(policy_name)
-    return make_policy(policy_name)
-
-
 def drive(policy, steps) -> float:
     """Run ``steps`` through one policy per-call; returns wall seconds."""
     request, release = policy.request, policy.release
@@ -111,20 +104,9 @@ def drive(policy, steps) -> float:
     return seconds
 
 
-def policy_events(policy):
-    """The full event record of either engine, in append order."""
-    server = getattr(policy, "server", None)
-    if server is not None:  # reference mode policies
-        return list(server.log.tail(1 << 30))
-    events = getattr(policy, "events", None)
-    if events is not None:  # compiled engines
-        return list(events())
-    return list(policy.log.tail(1 << 30))  # reference baselines
-
-
 def transcript_text(policy) -> str:
     """The policy's replayable canonical-JSONL transcript."""
-    events = policy_events(policy)
+    events = policy.events()
     return dumps_transcript(events, meta=build_meta(events))
 
 
@@ -137,7 +119,9 @@ def measure_speedup(best_of: int = 3):
     rates = {
         engine: best_of_rate(
             len(steps),
-            lambda engine=engine: drive(make_engine("equal_control", engine), steps),
+            lambda engine=engine: drive(
+                make_engine_policy("equal_control", engine=engine), steps
+            ),
             repeats=best_of,
         )
         for engine in ("reference", "compiled")
@@ -153,13 +137,13 @@ def check_fidelity(policy_name: str, directory: Path):
     steps = seeded_workload()
     texts = {}
     for engine in ("reference", "compiled"):
-        policy = make_engine(policy_name, engine)
+        policy = make_engine_policy(policy_name, engine=engine)
         drive(policy, steps)
         texts[engine] = transcript_text(policy)
     identical = texts["reference"].encode() == texts["compiled"].encode()
-    compiled = make_engine(policy_name, "compiled")
+    compiled = make_engine_policy(policy_name, engine="compiled")
     drive(compiled, steps)
-    events = policy_events(compiled)
+    events = compiled.events()
     path = save_transcript(
         directory / transcript_filename(f"e16_{policy_name}"),
         events,
@@ -174,8 +158,6 @@ def fleet_rates(sessions: int = 800, duration: float = 10.0):
     Returns ``{engine: (events_per_sec, metrics_json)}`` where the
     metrics text is the timing-free canonical fold (must match).
     """
-    from repro.experiments.persist import dumps
-
     out = {}
     for engine in ("batch", "compiled"):
         config = (

@@ -18,16 +18,31 @@ The four mode policies are backed by the real
 :class:`~repro.core.server.FloorControlServer` arbitration (they are
 the paper's code path, not re-implementations); the baseline policies
 adapt the existing baseline classes, which remain importable unchanged.
+
+Beyond the protocol, the six built-in policies here and their compiled
+twins in :mod:`repro.engine.compiled` share one driving surface —
+
+    ``request_batch(submissions) -> outcomes``  one tick's requests
+    ``stats``      :class:`~repro.core.arbitrator.ArbitrationStats`
+    ``evicted``    transcript events dropped by the ring bound
+    ``events()``   the retained transcript as a list of ``FloorEvent``
+
+— which is all :class:`PolicyDriver`, the one workload loop behind
+fleet sessions and bare-policy sweep cells, reads.  The baselines count
+one ``granted`` or ``queued`` per request outcome.  Custom registered
+policies need only the protocol; they are for direct
+:func:`make_policy` use.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Protocol, runtime_checkable
 
 from ..baselines.fifo_floor import FIFOFloorControl
 from ..baselines.free_for_all import FreeForAll
 from ..clock.virtual import VirtualClock
-from ..core.events import EventKind, EventLog
+from ..core.arbitrator import ArbitrationStats
+from ..core.events import EventKind, EventLog, FloorEvent
 from ..core.floor import RequestOutcome
 from ..core.modes import FCMMode
 from ..core.resources import ResourceModel, ResourceVector
@@ -39,6 +54,7 @@ __all__ = [
     "ArbitratedPolicy",
     "FIFOPolicy",
     "FreeForAllPolicy",
+    "PolicyDriver",
     "register_policy",
     "unregister_policy",
     "make_policy",
@@ -115,6 +131,20 @@ class ArbitratedPolicy:
     def name(self) -> str:
         """Registry name — the mode's wire value."""
         return self.mode.value
+
+    @property
+    def stats(self) -> ArbitrationStats:
+        """The private arbitrator's decision counters."""
+        return self.server.arbitrator.stats
+
+    @property
+    def evicted(self) -> int:
+        """Events dropped by the transcript ring (0 when unbounded)."""
+        return self.server.log.evicted
+
+    def events(self) -> list[FloorEvent]:
+        """The retained transcript, oldest first."""
+        return list(self.server.log)
 
     def request(
         self,
@@ -218,7 +248,43 @@ class ArbitratedPolicy:
         return self._discussion
 
 
-class FIFOPolicy:
+class _LoggedBaseline:
+    """The shared surface of the two baseline wrappers: a replayable
+    transcript (:attr:`log`), decision counters and a per-call batch
+    seam.  Subclasses define ``name`` and ``request``."""
+
+    def __init__(self, log_capacity: int | None) -> None:
+        self.log = EventLog(capacity=log_capacity)
+        self.stats = ArbitrationStats()
+        self._seen: set[str] = set()
+
+    @property
+    def evicted(self) -> int:
+        """Events dropped by the transcript ring (0 when unbounded)."""
+        return self.log.evicted
+
+    def events(self) -> list[FloorEvent]:
+        """The retained transcript, oldest first."""
+        return list(self.log)
+
+    def request_batch(self, submissions: list[tuple[str, float]]) -> list[bool]:
+        """One tick's ``(member, now)`` requests, decided per call."""
+        return [self.request(member, now) for member, now in submissions]
+
+    def _log_request(self, member: str, now: float) -> None:
+        if member not in self._seen:
+            self._seen.add(member)
+            self.log.append(now, EventKind.JOIN, member, "session")
+        self.log.append(now, EventKind.REQUEST, member, "session", self.name,
+                        data={"mode": self.name})
+
+    def _log_grant(self, member: str, now: float) -> None:
+        self.stats.granted += 1
+        self.log.append(now, EventKind.GRANT, member, "session", self.name,
+                        data={"reason": None, "mode": self.name})
+
+
+class FIFOPolicy(_LoggedBaseline):
     """The A4 baseline (:class:`FIFOFloorControl`) behind the protocol.
 
     The wrapper also records a replayable transcript (:attr:`log`) in
@@ -234,22 +300,17 @@ class FIFOPolicy:
     name = "fifo"
 
     def __init__(self, log_capacity: int | None = None) -> None:
+        super().__init__(log_capacity)
         self.impl = FIFOFloorControl()
-        self.log = EventLog(capacity=log_capacity)
-        self._seen: set[str] = set()
 
     def request(self, member: str, now: float = 0.0) -> bool:
         """Single global queue: first asker speaks, the rest wait."""
-        if member not in self._seen:
-            self._seen.add(member)
-            self.log.append(now, EventKind.JOIN, member, "session")
-        self.log.append(now, EventKind.REQUEST, member, "session", self.name,
-                        data={"mode": self.name})
+        self._log_request(member, now)
         granted = self.impl.request(member, now)
         if granted:
-            self.log.append(now, EventKind.GRANT, member, "session", self.name,
-                            data={"reason": None, "mode": self.name})
+            self._log_grant(member, now)
         else:
+            self.stats.queued += 1
             reason = f"floor held by {self.impl.holder!r}"
             self.log.append(
                 now, EventKind.QUEUE, member, "session", reason,
@@ -277,7 +338,7 @@ class FIFOPolicy:
         return list(self.impl.queue)
 
 
-class FreeForAllPolicy:
+class FreeForAllPolicy(_LoggedBaseline):
     """The no-floor-control baseline behind the protocol.
 
     Every request is granted and counts as an uncontrolled post, so the
@@ -293,20 +354,14 @@ class FreeForAllPolicy:
     def __init__(
         self, collision_window: float = 0.25, log_capacity: int | None = None
     ) -> None:
+        super().__init__(log_capacity)
         self.impl = FreeForAll(collision_window=collision_window)
-        self.log = EventLog(capacity=log_capacity)
-        self._seen: set[str] = set()
 
     def request(self, member: str, now: float = 0.0) -> bool:
         """Always granted — that is the point of this baseline."""
-        if member not in self._seen:
-            self._seen.add(member)
-            self.log.append(now, EventKind.JOIN, member, "session")
-        self.log.append(now, EventKind.REQUEST, member, "session", self.name,
-                        data={"mode": self.name})
+        self._log_request(member, now)
         self.impl.post(member, now)
-        self.log.append(now, EventKind.GRANT, member, "session", self.name,
-                        data={"reason": None, "mode": self.name})
+        self._log_grant(member, now)
         return True
 
     def release(self, member: str, now: float = 0.0) -> str | None:
@@ -320,6 +375,78 @@ class FreeForAllPolicy:
     def waiting(self) -> list[str]:
         """Nobody ever waits."""
         return []
+
+
+class PolicyDriver:
+    """Feed one workload event stream to one built-in policy.
+
+    The single request/release/post loop behind fleet sessions and
+    bare-policy sweep cells.  Consecutive requests go to the policy
+    together through ``request_batch``; a release first decides the
+    pending requests, so decisions match calling ``request`` and
+    ``release`` per event.  Posts never touch the policy; they are only
+    counted.  Requests and services (grants and token hand-offs) feed
+    ``fold``'s :meth:`~repro.metrics.fold.MetricsFold.requested` /
+    :meth:`~repro.metrics.fold.MetricsFold.serve` primitives; the
+    grant/queue split is the policy's own ``stats``.
+    """
+
+    __slots__ = ("policy", "fold", "events", "requests", "posts", "_stream", "_next")
+
+    def __init__(self, policy, fold, workload: Iterable) -> None:
+        self.policy = policy
+        self.fold = fold
+        #: Workload events consumed (requests + releases + posts).
+        self.events = 0
+        self.requests = 0
+        self.posts = 0
+        self._stream = iter(workload)
+        self._next = next(self._stream, None)
+
+    def advance(self, until: float) -> int:
+        """Consume every event due at or before ``until``; returns how
+        many were consumed."""
+        policy = self.policy
+        fold = self.fold
+        stream = self._stream
+        batch: list[tuple[str, float]] = []
+        consumed = posts = 0
+        event = self._next
+        while event is not None and event.time <= until:
+            consumed += 1
+            action = event.action
+            if action == "request":
+                batch.append((event.member, event.time))
+            elif action == "release":
+                if batch:
+                    self._decide(batch)
+                    batch = []
+                served = policy.release(event.member, event.time)
+                if served:
+                    fold.serve(served, event.time)
+            else:  # post
+                posts += 1
+            event = next(stream, None)
+        if batch:
+            self._decide(batch)
+        self._next = event
+        self.events += consumed
+        self.posts += posts
+        return consumed
+
+    def _decide(self, batch: list[tuple[str, float]]) -> None:
+        self.requests += len(batch)
+        fold = self.fold
+        for member, when in batch:
+            fold.requested(member, when)
+        for (member, when), granted in zip(batch, self.policy.request_batch(batch)):
+            if granted:
+                fold.serve(member, when)
+
+    def close(self) -> None:
+        """Drop the rest of the workload stream; idempotent."""
+        self._stream = iter(())
+        self._next = None
 
 
 # ----------------------------------------------------------------------

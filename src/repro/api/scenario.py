@@ -104,6 +104,9 @@ class Scenario:
         (or anything with ``time``/``member``/``action``/``mode``/
         ``content`` attributes) into a scenario.
 
+        A request whose ``mode`` is ``None`` is sent without an explicit
+        mode, so the session's own policy arbitrates it.
+
         Raises
         ------
         ReproError
@@ -115,7 +118,7 @@ class Scenario:
             if verb is None:
                 raise ReproError(f"unknown workload action {event.action!r}")
             kwargs: dict[str, Any] = {}
-            if event.action == "request":
+            if event.action == "request" and event.mode is not None:
                 kwargs["mode"] = event.mode
             elif event.action == "post":
                 kwargs["content"] = event.content or "(empty)"

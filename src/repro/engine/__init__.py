@@ -25,8 +25,9 @@ The seam is threaded everywhere a simulation starts: ``engine=`` on
 (the facade swaps in :class:`CompiledArbitrator`), the ``engine``
 sweep parameter of the session/policy cell runners, the fleet's
 ``FleetConfig.engine`` / ``repro fleet --engine compiled``, and
-:func:`make_engine_policy` for direct policy construction.  The knob
-is an *execution* parameter: it is excluded from seed derivation
+:func:`make_engine_policy`, the built-in policy factory fleets and
+policy cells share.  The knob is an *execution* parameter: it is
+excluded from seed derivation
 (:data:`repro.experiments.spec.EXECUTION_PARAMS`), so switching
 engines never changes the simulated workload.
 """
@@ -61,25 +62,33 @@ ENGINES = ("reference", "compiled")
 
 
 def make_engine_policy(name: str, engine: str = "reference", **kwargs):
-    """Instantiate floor policy ``name`` on the selected engine.
+    """Instantiate built-in floor policy ``name`` on the selected engine.
 
-    ``engine="reference"`` defers to the open policy registry
-    (:func:`repro.api.policies.make_policy`); ``engine="compiled"``
-    builds the array-compiled counterpart (:func:`compile_policy`,
-    closed set: the four FCM modes plus the two baselines).  Keyword
-    arguments pass through to the policy factory either way.
+    ``engine="reference"`` builds it from the policy registry
+    (:func:`repro.api.policies.make_policy`), ``engine="compiled"`` its
+    array-compiled twin (:func:`compile_policy`).  Either way the name
+    must be one of the six built-ins (:func:`compiled_policy_names`):
+    this is the factory of fleets and policy cells, which drive the
+    shared policy surface.  Custom registered policies go through
+    ``make_policy`` directly.  Keyword arguments pass through to the
+    policy factory.
 
     Raises
     ------
     ReproError
-        For an unknown engine or policy name.
+        For an unknown engine or a policy that is not built in.
     """
-    if engine == "reference":
-        from ..api.policies import make_policy
-
-        return make_policy(name, **kwargs)
+    if engine not in ENGINES:
+        raise ReproError(
+            f"unknown policy engine {engine!r}; one of {list(ENGINES)}"
+        )
+    if name not in compiled_policy_names():
+        raise ReproError(
+            f"policy {name!r} has no compiled engine; fleets and policy "
+            f"cells run only the built-in policies {compiled_policy_names()}"
+        )
     if engine == "compiled":
         return compile_policy(name, **kwargs)
-    raise ReproError(
-        f"unknown policy engine {engine!r}; one of {list(ENGINES)}"
-    )
+    from ..api.policies import make_policy
+
+    return make_policy(name, **kwargs)

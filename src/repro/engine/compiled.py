@@ -7,10 +7,10 @@ over interned member ids, integer token queues and the columnar event
 log of :mod:`repro.engine.log`, instead of the reference engines'
 object graph (registry, resource vectors, request/grant dataclasses,
 frozen events).  The compiled classes satisfy the same
-:class:`~repro.api.policies.FloorPolicy` protocol (plus the
-``request_batch`` fleet seam), so every consumer of the reference
-policies — fleet sessions, sweep cells, benchmarks — can swap engines
-with one knob.
+:class:`~repro.api.policies.FloorPolicy` protocol and the same driving
+surface (``request_batch``, ``stats``, ``evicted``, ``events()``), so
+every consumer of the reference policies — fleet sessions, sweep
+cells, benchmarks — can swap engines with one knob.
 
 Correctness is pinned by construction *and* by the replay oracle:
 
@@ -20,7 +20,7 @@ Correctness is pinned by construction *and* by the replay oracle:
 * the materialized transcript (:meth:`events`) is byte-identical to
   the reference transcript under ``repro.events.transcript``
   canonical JSON, including ring-mode eviction counts;
-* the arbitration counters (:attr:`CompiledEngine.stats`) match
+* the decision counters (``stats``) match the reference policy's
   :class:`~repro.core.arbitrator.ArbitrationStats` field for field,
   so fleet metric folds are byte-identical across engines.
 
@@ -289,16 +289,17 @@ class CompiledFIFO:
     :class:`~repro.api.policies.FIFOPolicy` over
     :class:`~repro.baselines.fifo_floor.FIFOFloorControl`).
 
-    Decision semantics, counters (:attr:`grants`, :attr:`waits`) and
-    the transcript convention — JOIN on first request, REQUEST plus
-    GRANT/QUEUE per ask (queue events carry the holder reason and the
-    1-based position), TOKEN_PASS on a successful release, all at
-    workload timestamps — match the reference wrapper exactly.
+    Decision semantics, counters (:attr:`grants`, :attr:`waits`,
+    :attr:`stats`) and the transcript convention — JOIN on first
+    request, REQUEST plus GRANT/QUEUE per ask (queue events carry the
+    holder reason and the 1-based position), TOKEN_PASS on a successful
+    release, all at workload timestamps — match the reference wrapper
+    exactly.
     """
 
     name = "fifo"
 
-    __slots__ = ("log", "grants", "waits", "_ids", "_names", "_seen",
+    __slots__ = ("log", "grants", "waits", "stats", "_ids", "_names", "_seen",
                  "_holder", "_queue", "_in_queue")
 
     def __init__(self, log_capacity: int | None = None, numpy: bool | None = None) -> None:
@@ -310,6 +311,7 @@ class CompiledFIFO:
         self._in_queue = bytearray()
         self.grants = 0
         self.waits = 0
+        self.stats = ArbitrationStats()
         self.log = ColumnarLog(
             self._names, ["session"], "fifo", capacity=log_capacity, numpy=numpy
         )
@@ -334,19 +336,26 @@ class CompiledFIFO:
         append(now, K_REQUEST, mid)
         holder = self._holder
         if holder == mid:
+            self.stats.granted += 1
             append(now, K_GRANT, mid)
             return True
         if holder < 0:
             self._holder = mid
             self.grants += 1
+            self.stats.granted += 1
             append(now, K_GRANT, mid)
             return True
         if not self._in_queue[mid]:
             self._queue.append(mid)
             self._in_queue[mid] = 1
             self.waits += 1
+        self.stats.queued += 1
         append(now, K_QUEUE, mid, _SESSION, holder, self._queue.index(mid) + 1)
         return False
+
+    def request_batch(self, submissions: list[tuple[str, float]]) -> list[bool]:
+        """One tick's ``(member, now)`` requests, decided per call."""
+        return [self.request(member, now) for member, now in submissions]
 
     def release(self, member: str, now: float = 0.0) -> str | None:
         """Head of the queue takes over; stale releases are ignored."""
@@ -395,7 +404,7 @@ class CompiledFreeForAll:
 
     name = "free_for_all"
 
-    __slots__ = ("log", "collision_window", "collisions",
+    __slots__ = ("log", "collision_window", "collisions", "stats",
                  "_ids", "_names", "_seen", "_post_times", "_post_authors")
 
     def __init__(
@@ -406,6 +415,7 @@ class CompiledFreeForAll:
     ) -> None:
         self.collision_window = collision_window
         self.collisions = 0
+        self.stats = ArbitrationStats()
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
         self._seen = bytearray()
@@ -437,8 +447,13 @@ class CompiledFreeForAll:
                 break
         times.append(now)
         authors.append(mid)
+        self.stats.granted += 1
         self.log.append(now, K_GRANT, mid)
         return True
+
+    def request_batch(self, submissions: list[tuple[str, float]]) -> list[bool]:
+        """One tick's ``(member, now)`` requests, decided per call."""
+        return [self.request(member, now) for member, now in submissions]
 
     def release(self, member: str, now: float = 0.0) -> str | None:
         """No floor to release."""
@@ -482,8 +497,9 @@ _COMPILED_BASELINES = {
 
 
 def compiled_policy_names() -> list[str]:
-    """Policy names the compiled engine covers (the reference registry
-    stays open; the compiled set is deliberately closed)."""
+    """The six built-in policies: what the compiled engine covers, and
+    all that fleets and policy cells run (the reference registry stays
+    open for direct :func:`~repro.api.policies.make_policy` use)."""
     return sorted([mode.value for mode in FCMMode] + list(_COMPILED_BASELINES))
 
 
@@ -499,7 +515,7 @@ def compile_policy(name: str, **kwargs):
     ------
     ReproError
         For a policy the compiled engine does not cover — custom
-        registered policies run on the reference engine only.
+        registered policies are for direct ``make_policy`` use only.
     """
     factory = _COMPILED_BASELINES.get(name)
     if factory is not None:

@@ -15,7 +15,7 @@ The sweep engine is the experiment layer on top of the
     print(result.table(by="policy"))
     write_json(result, "BENCH_modes_vs_baselines.json")
 
-Four layers:
+Three layers:
 
 * :mod:`repro.experiments.spec` — declarative grids
   (:class:`Axis` × :class:`Axis` → :class:`Cell`) with per-cell seeds
@@ -23,22 +23,18 @@ Four layers:
 * :mod:`repro.experiments.runner` — cell runners (full sessions, bare
   policies, or anything registered) executed serially or across worker
   processes with identical results;
-* :mod:`repro.experiments.metrics` — grant-latency percentiles, Jain
-  fairness, loss aggregation;
 * :mod:`repro.experiments.persist` — byte-stable, schema-versioned
   ``BENCH_*.json`` and CSV output.
+
+Cell metrics come from the shared streaming fold in
+:mod:`repro.metrics`, whose ``jain_fairness``, ``latency_summary`` and
+``percentile`` this package re-exports.
 
 :mod:`repro.experiments.specs` names the standard grids the CLI
 (``repro sweep``) and the CI benchmark lane run.
 """
 
-from .metrics import (
-    grant_latencies,
-    jain_fairness,
-    latency_summary,
-    percentile,
-    served_counts,
-)
+from ..metrics import jain_fairness, latency_summary, percentile
 from .persist import (
     SCHEMA,
     SCHEMA_VERSION,
@@ -80,7 +76,6 @@ __all__ = [
     "csv_text",
     "derive_seed",
     "dumps",
-    "grant_latencies",
     "jain_fairness",
     "latency_summary",
     "load_document",
@@ -94,7 +89,6 @@ __all__ = [
     "run_session_cell",
     "run_sweep",
     "runner_names",
-    "served_counts",
     "spec_names",
     "to_document",
     "unregister_runner",

@@ -2,7 +2,7 @@
 
 A *cell runner* is a callable ``(Cell) -> Mapping[str, float]`` living
 at module level (so it pickles by reference into worker processes).
-Two ship built in:
+Three ship built in:
 
 * ``"session"`` — stands up a full :class:`repro.api.session.Session`
   from the cell's parameters, feeds it a seeded workload scenario, and
@@ -10,8 +10,9 @@ Two ship built in:
   (``fifo``, ``free_for_all``) have no server-side mode, so cells
   naming them fall through to the policy runner — one sweep can cross
   the paper's modes *and* the ablation baselines on one axis;
-* ``"policy"`` — drives a bare :class:`repro.api.policies.FloorPolicy`
-  with the same workload events, no network in the loop;
+* ``"policy"`` — drives one of the six built-in floor policies bare,
+  through the same :class:`~repro.api.policies.PolicyDriver` loop as
+  fleet sessions, with the same workload events and no network;
 * ``"check"`` — verifies one FCM mode's floor-control net
   (:mod:`repro.check`) and records the verdict census and
   explored-state counts as metrics, so property verdicts ride the same
@@ -25,14 +26,16 @@ so both paths produce identical :class:`SweepResult` values.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from ..api.config import DynamicsSpec, PartitionSpec
-from ..api.scenario import Scenario, ScenarioStep
+from ..api.policies import PolicyDriver
+from ..api.scenario import Scenario
 from ..api.session import Session
 from ..check.induct import InductiveEngine
 from ..check.nets import floor_model
@@ -219,21 +222,9 @@ def run_session_cell(cell: Cell) -> Mapping[str, float]:
         builder.transcript_capacity(int(capacity))
     builder.participants(*members)
     builder.dynamics(*_cell_dynamics(cell, config.duration))
-    steps = []
-    for event in events:
-        if event.action == "request":
-            steps.append(ScenarioStep(event.time, "request_floor", event.member))
-        elif event.action == "release":
-            steps.append(ScenarioStep(event.time, "release_floor", event.member))
-        else:
-            steps.append(
-                ScenarioStep(
-                    event.time,
-                    "post",
-                    event.member,
-                    kwargs={"content": event.content or "(empty)"},
-                )
-            )
+    scenario = Scenario.from_workload(
+        [replace(event, mode=None) for event in events], name=cell.cell_id
+    )
     with builder.build() as session:
         # The cell's own fold: seeded with the student roster (the
         # chair is not part of the fairness population) and fed by a
@@ -243,9 +234,7 @@ def run_session_cell(cell: Cell) -> Mapping[str, float]:
             fold.add,
             kinds=(EventKind.REQUEST, EventKind.GRANT, EventKind.TOKEN_PASS),
         )
-        Scenario(steps, name=cell.cell_id).run(
-            session, until=config.duration + 1.0
-        )
+        scenario.run(session, until=config.duration + 1.0)
         unsubscribe()
         report = session.report()
         blocked = float(session.network.stats.blocked)
@@ -295,51 +284,38 @@ def run_session_cell(cell: Cell) -> Mapping[str, float]:
 
 
 def run_policy_cell(cell: Cell) -> Mapping[str, float]:
-    """Execute one cell against a bare floor policy (no network).
+    """Execute one cell against a bare built-in floor policy (no network).
 
-    The same seeded workload drives ``policy.request`` /
-    ``policy.release`` directly; latency is queue wait alone, which is
-    exactly what makes the baselines comparable to the session cells'
-    request-to-service times.  Network parameters (latency/jitter/loss)
-    do not apply here; cells record ``network_modeled = 0`` so a grid
-    crossing baselines with network axes stays honest in the persisted
-    BENCH document.  ``transcript_dir``/``trace_dir`` likewise do not
-    apply: a bare policy keeps no event bus, so baseline cells save no
-    transcript and no trace.
+    The same seeded workload runs through
+    :class:`~repro.api.policies.PolicyDriver`, the loop fleet sessions
+    share; latency is queue wait alone, which is exactly what makes the
+    baselines comparable to the session cells' request-to-service
+    times.  Network parameters (latency/jitter/loss) do not apply here;
+    cells record ``network_modeled = 0`` so a grid crossing baselines
+    with network axes stays honest in the persisted BENCH document.
+    ``transcript_dir``/``trace_dir`` likewise do not apply: a bare
+    policy keeps no event bus, so baseline cells save no transcript and
+    no trace.
     """
     _check_known_params(cell)
-    events, members, config = _workload(cell)
     policy = make_engine_policy(
         str(_cell_value(cell, "policy")),
         engine=str(_cell_value(cell, "engine")),
     )
+    events, members, config = _workload(cell)
     # No FloorEvent objects in this loop, so the kernel is fed through
     # its low-level requested/serve primitives — same pairing, same
     # fairness population, same bytes as the session runner's
     # subscription-fed fold.
-    fold = MetricsFold(mode="exact", members=members)
-    requests = granted = queued = posts = 0
-
-    for event in events:
-        if event.action == "request":
-            requests += 1
-            fold.requested(event.member, event.time)
-            if policy.request(event.member, now=event.time):
-                granted += 1
-                fold.serve(event.member, event.time)
-            else:
-                queued += 1
-        elif event.action == "release":
-            successor = policy.release(event.member, now=event.time)
-            if successor is not None:
-                fold.serve(successor, event.time)
-        else:
-            posts += 1
+    driver = PolicyDriver(policy, MetricsFold(mode="exact", members=members), events)
+    driver.advance(math.inf)
+    fold = driver.fold
+    stats = policy.stats
     return {
-        "requests": float(requests),
-        "granted": float(granted),
-        "queued": float(queued),
-        "denied": 0.0,
+        "requests": float(driver.requests),
+        "granted": float(stats.granted),
+        "queued": float(stats.queued),
+        "denied": float(stats.denied),
         "served": float(fold.served),
         **fold.latency_summary(),
         "fairness": fold.fairness(),
@@ -347,7 +323,7 @@ def run_policy_cell(cell: Cell) -> Mapping[str, float]:
         "net_latency": 0.0,
         "blocked": 0.0,
         "messages_sent": 0.0,
-        "posts": float(posts),
+        "posts": float(driver.posts),
         "sim_time": config.duration,
         "network_modeled": 0.0,
     }

@@ -15,13 +15,14 @@ independent DMPS sessions at once:
   assignment stable under fleet growth, per-session seeds derived from
   the root seed exactly like the sweep engine), and
   :func:`~repro.fabric.fleet.run_fleet` folds per-shard summaries into
-  one streaming :class:`~repro.fabric.metrics.FleetMetrics` — nothing
+  one streaming :class:`~repro.metrics.aggregate.FleetMetrics` — nothing
   ever buffers O(fleet × events);
 * per-session memory is bounded by EventBus ring mode
   (:mod:`repro.events.bus`), so a fleet can run for arbitrarily long
   simulated spans at flat footprint;
 * three per-session engines (:mod:`repro.fabric.session`): ``"batch"``
-  drives reference policies through the batch arbitration seam,
+  drives the built-in reference policies through the batch
+  arbitration seam,
   ``"compiled"`` drives the array-compiled policies of
   :mod:`repro.engine` (fastest; byte-identical folds), and
   ``"facade"`` runs the full :class:`~repro.api.session.Session`
@@ -31,9 +32,9 @@ Results are byte-identical between serial execution and sharded
 workers for the same root seed — the same bar the sweep engine holds.
 """
 
+from ..metrics import FleetMetrics, LatencyHistogram
 from .config import FleetBuilder, FleetConfig
 from .fleet import Fleet, FleetResult, run_fleet, run_fleet_cell
-from .metrics import FleetMetrics, LatencyHistogram
 from .persist import fleet_result_to_sweep, write_fleet_json
 from .session import FleetSession
 from .shard import Shard, run_shard

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
+from ..core.modes import FCMMode
 from ..errors import ReproError
 from ..experiments.spec import derive_seed
 
@@ -30,16 +31,19 @@ __all__ = ["FleetBuilder", "FleetConfig"]
 
 _SCENARIOS = ("lecture", "seminar", "panel", "storm")
 _ENGINES = ("batch", "compiled", "facade")
+_MODES = frozenset(mode.value for mode in FCMMode)
 
 
 @dataclass(frozen=True)
 class FleetConfig:
     """The full, frozen description of one fleet run.
 
-    ``engine`` selects the per-session machinery: ``"batch"`` drives
-    registered floor policies directly (allocation-light; the 10k+
-    session benchmark path), ``"compiled"`` drives the array-compiled
-    policies of :mod:`repro.engine` through the same lockstep schedule
+    ``policy`` names one of the six built-in policies (the four FCM
+    modes, ``fifo``, ``free_for_all``).  ``engine`` selects the
+    per-session machinery: ``"batch"`` drives the reference policies
+    directly (allocation-light; the 10k+ session benchmark path),
+    ``"compiled"`` drives their array-compiled twins in
+    :mod:`repro.engine` through the same lockstep schedule
     (fastest; byte-identical metrics and transcripts to ``"batch"``),
     and ``"facade"`` stands up a full
     :class:`~repro.api.session.Session` per fleet session, including
@@ -107,20 +111,18 @@ class FleetConfig:
             raise ReproError(
                 "partition_duration set but partition_start is None"
             )
-        from ..api.policies import policy_names
+        from ..engine import compiled_policy_names
 
-        if self.policy not in policy_names():
+        if self.policy not in compiled_policy_names():
             raise ReproError(
-                f"unknown floor policy {self.policy!r}; registered: {policy_names()}"
+                f"policy {self.policy!r} has no compiled engine; fleets run "
+                f"only the built-in policies {compiled_policy_names()}"
             )
-        if self.engine == "compiled":
-            from ..engine import compiled_policy_names
-
-            if self.policy not in compiled_policy_names():
-                raise ReproError(
-                    f"policy {self.policy!r} has no compiled engine; "
-                    f"compiled: {compiled_policy_names()}"
-                )
+        if self.engine == "facade" and self.policy not in _MODES:
+            raise ReproError(
+                f"the facade engine needs a session floor mode, "
+                f"got policy {self.policy!r}"
+            )
 
     # ------------------------------------------------------------------
     # Seeds and sharding
@@ -211,7 +213,7 @@ class FleetBuilder:
         return self._set(members=count)
 
     def policy(self, name: str) -> "FleetBuilder":
-        """Floor policy every session runs (registry name)."""
+        """Floor policy every session runs (a built-in policy name)."""
         return self._set(policy=name)
 
     def scenario(self, name: str) -> "FleetBuilder":

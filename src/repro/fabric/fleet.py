@@ -6,7 +6,7 @@ each deadline.  Sharded execution (:func:`run_fleet` with
 ``workers > 1``) sends whole shards to worker processes; each worker
 replays the *same* tick deadlines against its own clock replica — one
 logical clock, K physical ones — and returns a single
-:class:`~repro.fabric.metrics.FleetMetrics` fold.
+:class:`~repro.metrics.aggregate.FleetMetrics` fold.
 
 Because every fold component is an exact commutative integer merge,
 the aggregate is bit-identical whatever the worker count or completion
@@ -31,9 +31,9 @@ from typing import Any, Callable, Mapping
 from ..clock.virtual import VirtualClock
 from ..errors import ReproError
 from ..experiments.spec import CAPTURE_PARAMS, Cell
+from ..metrics import FleetMetrics
 from ..trace import timing as _timing
 from .config import FleetConfig
-from .metrics import FleetMetrics
 from .shard import Shard, run_shard, run_shard_traced
 
 __all__ = ["Fleet", "FleetResult", "run_fleet", "run_fleet_cell"]

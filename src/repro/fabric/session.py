@@ -1,25 +1,28 @@
 """Per-session engines the fleet scheduler drives tick by tick.
 
-Both engines expose the same three-method surface —
+Every fleet session exposes the same four methods —
 
     ``advance(until)``  consume everything due at or before ``until``
     ``summary()``       fold the session into a :class:`FleetMetrics`
+    ``events()``        the retained transcript (ring tail)
     ``close()``         tear the session down (idempotent)
 
-— so shards host either interchangeably:
+— so shards host any of the three fleet engines interchangeably:
 
-* :class:`FleetSession` (``engine="batch"``) drives a registered floor
-  policy directly.  Requests due in one tick go through the policy's
-  batch seam (:meth:`~repro.api.policies.ArbitratedPolicy.request_batch`
-  → :meth:`~repro.core.arbitrator.Arbitrator.arbitrate_batch`), the
+* :class:`FleetSession` (``engine="batch"``) drives a built-in
+  reference policy through :class:`~repro.api.policies.PolicyDriver`,
+  the workload loop bare-policy sweep cells share: requests due in one
+  tick go through the policy's batch seam
+  (:meth:`~repro.api.policies.ArbitratedPolicy.request_batch` →
+  :meth:`~repro.core.arbitrator.Arbitrator.arbitrate_batch`), the
   workload arrives as a lazy stream, and the transcript is ring-bounded
   — this is the 10k+ concurrent-session benchmark path.
 * :class:`FleetSession` with ``engine="compiled"`` swaps the reference
-  policy for its array-compiled counterpart
-  (:func:`~repro.engine.compile_policy`): same scheduler, same batch
-  seam, but decisions and events run over flat index arrays.  Metrics
-  folds and ring-bounded transcripts are byte-identical to the batch
-  engine; only the wall-clock changes (bench E16 pins ≥5x).
+  policy for its array-compiled twin (:mod:`repro.engine`): same
+  driver, same batch seam, but decisions and events run over flat index
+  arrays.  Metrics folds and ring-bounded transcripts are
+  byte-identical to the batch engine; only the wall-clock changes
+  (bench E16 pins ≥5x).
 * :class:`FacadeFleetSession` (``engine="facade"``) stands up a full
   :class:`~repro.api.session.Session` per fleet session — simulated
   network, presence, optional partition dynamics and runtime checks —
@@ -33,22 +36,16 @@ per-session memory stays O(members + ring capacity).
 
 from __future__ import annotations
 
+from dataclasses import replace
 
-from ..api.policies import make_policy
-from ..core.modes import FCMMode
-from ..metrics.fold import MetricsFold
-from ..workload.generator import RequestEvent, WorkloadConfig
+from ..api.policies import PolicyDriver
+from ..engine import make_engine_policy
+from ..metrics import FleetMetrics, MetricsFold
+from ..workload.generator import WorkloadConfig
 from .config import FleetConfig
-from .metrics import FleetMetrics
 from .workload import stream_workload
 
 __all__ = ["FacadeFleetSession", "FleetSession", "make_session"]
-
-_MODE_POLICIES = frozenset(mode.value for mode in FCMMode)
-#: Built-in policies that accept a ``log_capacity`` transcript bound
-#: (the four modes plus both baselines); custom registered policies
-#: are constructed without kwargs.
-_LOGGED_POLICIES = _MODE_POLICIES | {"fifo", "free_for_all"}
 
 
 def make_session(index: int, config: FleetConfig):
@@ -58,159 +55,80 @@ def make_session(index: int, config: FleetConfig):
     return FleetSession(index, config)
 
 
-class FleetSession:
-    """One batch-engine session: a floor policy fed a lazy workload."""
-
-    __slots__ = (
-        "index", "config", "policy", "_stream", "_next", "_fold",
-        "_events", "_requests", "_granted", "_queued", "_posts",
-        "_batch", "_closed",
+def _workload(index: int, config: FleetConfig) -> WorkloadConfig:
+    return WorkloadConfig(
+        members=config.members,
+        duration=config.duration,
+        seed=config.session_seed(index),
+        mean_hold=config.mean_hold,
+        request_rate=config.request_rate,
     )
+
+
+class FleetSession:
+    """One batch- or compiled-engine session: a built-in floor policy
+    fed a lazy workload."""
+
+    __slots__ = ("index", "config", "policy", "_driver")
 
     def __init__(self, index: int, config: FleetConfig) -> None:
         self.index = index
         self.config = config
-        if config.engine == "compiled":
-            from ..engine import compile_policy
-
-            self.policy = compile_policy(
-                config.policy, log_capacity=config.ring_capacity
-            )
-        else:
-            kwargs = {}
-            if config.policy in _LOGGED_POLICIES:
-                kwargs["log_capacity"] = config.ring_capacity
-            self.policy = make_policy(config.policy, **kwargs)
-        workload = WorkloadConfig(
-            members=config.members,
-            duration=config.duration,
-            seed=config.session_seed(index),
-            mean_hold=config.mean_hold,
-            request_rate=config.request_rate,
+        self.policy = make_engine_policy(
+            config.policy,
+            engine="compiled" if config.engine == "compiled" else "reference",
+            log_capacity=config.ring_capacity,
         )
-        self._stream = stream_workload(config.scenario, workload)
-        self._next: RequestEvent | None = next(self._stream, None)
         # The shared kernel in fold mode: O(members + outstanding
         # requests) state, exact commutative merge across the fleet.
-        self._fold = MetricsFold(mode="fold")
-        self._events = 0
-        self._requests = 0
-        self._granted = 0
-        self._queued = 0
-        self._posts = 0
-        self._batch: list[tuple[str, float]] = []
-        self._closed = False
+        self._driver = PolicyDriver(
+            self.policy,
+            MetricsFold(mode="fold"),
+            stream_workload(config.scenario, _workload(index, config)),
+        )
 
     # ------------------------------------------------------------------
     # Lockstep interface
     # ------------------------------------------------------------------
     def advance(self, until: float) -> int:
-        """Consume every workload event due at or before ``until``.
-
-        Consecutive floor requests are batched through the policy's
-        batch seam; a release (or post) flushes the pending batch
-        first, so decision order matches per-call execution exactly.
-        Returns the number of events consumed.
-        """
-        consumed = 0
-        event = self._next
-        while event is not None and event.time <= until:
-            consumed += 1
-            if event.action == "request":
-                self._batch.append((event.member, event.time))
-            elif event.action == "release":
-                self._flush()
-                served = self.policy.release(event.member, event.time)
-                if served:
-                    self._fold.serve(served, event.time)
-            else:  # post
-                self._posts += 1
-            event = next(self._stream, None)
-        self._flush()
-        self._next = event
-        self._events += consumed
-        return consumed
-
-    def _flush(self) -> None:
-        batch = self._batch
-        if not batch:
-            return
-        self._batch = []
-        self._requests += len(batch)
-        for member, when in batch:
-            self._fold.requested(member, when)
-        request_batch = getattr(self.policy, "request_batch", None)
-        if request_batch is not None:
-            outcomes = request_batch(batch)
-        else:
-            outcomes = [self.policy.request(member, when) for member, when in batch]
-        for (member, when), granted in zip(batch, outcomes):
-            if granted:
-                self._granted += 1
-                self._fold.serve(member, when)
-            else:
-                self._queued += 1
+        """Consume every workload event due at or before ``until``;
+        returns how many were consumed."""
+        return self._driver.advance(until)
 
     def summary(self) -> FleetMetrics:
-        """This session as a mergeable :class:`FleetMetrics`."""
-        metrics = FleetMetrics(
+        """This session as a mergeable :class:`FleetMetrics`.
+
+        The grant/queue split and the ring evictions come from the
+        policy's own surface, which every built-in policy shares on
+        both engines — the folds are byte-identical across engines.
+        """
+        driver = self._driver
+        stats = self.policy.stats
+        served = driver.fold.served
+        return FleetMetrics(
             sessions=1,
-            events=self._events,
-            requests=self._requests,
-            served=self._fold.served,
-            posts=self._posts,
-            histogram=self._fold.histogram,
+            events=driver.events,
+            requests=driver.requests,
+            granted=stats.granted,
+            queued=stats.queued,
+            denied=stats.denied,
+            aborted=stats.aborted,
+            served=served,
+            posts=driver.posts,
+            evicted=self.policy.evicted,
+            histogram=driver.fold.histogram,
             fairness_n=1,
-            fairness_total=self._fold.served,
-            fairness_sumsq=self._fold.served * self._fold.served,
+            fairness_total=served,
+            fairness_sumsq=served * served,
         )
-        # Arbitration counters come from the policy's stats surface:
-        # the reference mode policies expose them via their private
-        # server, the compiled mode engine exposes the same
-        # ArbitrationStats directly — the folds are byte-identical
-        # across engines.  Baselines (either engine) have no
-        # arbitrator; their grant/queue split is the scheduler's own
-        # count and ring evictions are not part of the fold.
-        server = getattr(self.policy, "server", None)
-        stats = (
-            server.arbitrator.stats if server is not None
-            else getattr(self.policy, "stats", None)
-        )
-        if stats is not None:
-            metrics.granted = stats.granted
-            metrics.queued = stats.queued
-            metrics.denied = stats.denied
-            metrics.aborted = stats.aborted
-            log = server.log if server is not None else self.policy.log
-            metrics.evicted = log.evicted
-            metrics.listener_errors = getattr(log, "listener_error_count", 0)
-        else:
-            metrics.granted = self._granted
-            metrics.queued = self._queued
-        return metrics
 
     def events(self):
-        """The session's retained transcript (ring tail), engine-agnostic.
-
-        Mirrors the bench E16 accessor chain: reference policies log on
-        their private server's bus, the compiled engine materializes
-        its columnar log, the baselines log directly.
-        """
-        server = getattr(self.policy, "server", None)
-        if server is not None:
-            return server.log.tail(1 << 30)
-        materialize = getattr(self.policy, "events", None)
-        if callable(materialize):
-            return materialize()
-        return self.policy.log.tail(1 << 30)
+        """The session's retained transcript (ring tail)."""
+        return self.policy.events()
 
     def close(self) -> None:
         """Drop the workload stream; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._stream = iter(())
-        self._next = None
+        self._driver.close()
 
 
 class FacadeFleetSession:
@@ -223,19 +141,12 @@ class FacadeFleetSession:
         from ..api.scenario import Scenario
         from ..workload.generator import generate, member_names
 
-        if config.policy not in _MODE_POLICIES:
-            from ..errors import ReproError
-
-            raise ReproError(
-                f"the facade engine needs a session floor mode, "
-                f"got policy {config.policy!r}"
-            )
-        seed = config.session_seed(index)
+        workload = _workload(index, config)
         builder = (
             SessionBuilder(chair="teacher")
             .link(latency=config.latency)
             .policy(config.policy)
-            .seed(seed)
+            .seed(workload.seed)
             .heartbeats(None)
             .clock_sync(None)
             .transcript_capacity(config.ring_capacity)
@@ -255,16 +166,13 @@ class FacadeFleetSession:
         # requests) state, exact commutative merge across the fleet.
         self._fold = MetricsFold(mode="fold")
         self._subscribe()
-        workload = WorkloadConfig(
-            members=config.members,
-            duration=config.duration,
-            seed=seed,
-            mean_hold=config.mean_hold,
-            request_rate=config.request_rate,
-        )
         events = generate(config.scenario, workload)
         self._scenario_steps = len(events)
-        Scenario.from_workload(events, name=config.scenario).schedule(self.session)
+        # Mode-less requests, like the session sweep cells: the
+        # session's own policy arbitrates every request.
+        Scenario.from_workload(
+            [replace(event, mode=None) for event in events], name=config.scenario
+        ).schedule(self.session)
 
     def _subscribe(self) -> None:
         from ..events.types import EventKind

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..metrics import FleetMetrics
 from ..trace import timing as _timing
 from ..trace.causal import CausalTracer
 from .config import FleetConfig
-from .metrics import FleetMetrics
 from .session import make_session
 
 __all__ = ["Shard", "run_shard", "run_shard_traced"]

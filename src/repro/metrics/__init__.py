@@ -21,8 +21,8 @@ Layout:
 * :mod:`repro.metrics.aggregate` — the mergeable cross-session
   :class:`FleetMetrics`.
 
-``repro.experiments.metrics`` and ``repro.fabric.metrics`` remain as
-thin compatibility facades over this package.
+Sweep cells, fleets, replay and live sessions all import the kernel
+from here; there is no second import surface.
 """
 
 from .aggregate import FleetMetrics

@@ -37,13 +37,14 @@ class RequestEvent:
     """One scheduled participant action.
 
     ``action`` is ``"request"`` (ask for the floor), ``"release"``
-    (pass the token), or ``"post"`` (send a message).
+    (pass the token), or ``"post"`` (send a message).  A ``mode`` of
+    ``None`` leaves the mode to the session's policy.
     """
 
     time: float
     member: str
     action: str
-    mode: FCMMode = FCMMode.FREE_ACCESS
+    mode: FCMMode | None = FCMMode.FREE_ACCESS
     content: str = ""
 
 

@@ -1,9 +1,19 @@
-"""Tests for repro.engine: compiled policies match the reference byte-for-byte."""
+"""Tests for repro.engine: compiled policies match the reference byte-for-byte.
+
+Workloads are generated: any of the four scenarios, 1–12 members,
+varied durations, holds and request rates, and a transcript ring
+smaller than the event stream.  Hypothesis runs derandomized, and the
+fixed-seed workloads this suite always pinned ride along as explicit
+examples, so tier-1 runs are deterministic.
+"""
+
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.modes import FCMMode
-from repro.api.policies import make_policy
+from repro.api.policies import ArbitratedPolicy, PolicyDriver, make_policy
 from repro.engine import (
     ColumnarLog,
     CompiledEngine,
@@ -16,92 +26,183 @@ from repro.engine import (
 from repro.errors import ReproError
 from repro.events.replay import build_meta
 from repro.events.transcript import dumps_transcript
+from repro.metrics import MetricsFold
 from repro.workload.generator import WorkloadConfig, generate, member_names
 
 MODES = tuple(mode.value for mode in FCMMode)
 ALL_POLICIES = MODES + ("fifo", "free_for_all")
+ENGINES = ("reference", "compiled")
+SCENARIOS = ("lecture", "seminar", "panel", "storm")
+
+#: Generated cases per test; each runs in a few milliseconds.
+EXAMPLES = 8
 
 
-def workload_steps(members=10, duration=120.0, seed=3, request_rate=3.0):
+@st.composite
+def workloads(draw):
+    """``(events, ring capacity)``: a generated workload and a ring
+    bound no larger than its event stream."""
     config = WorkloadConfig(
-        members=members, duration=duration, seed=seed, request_rate=request_rate
+        members=draw(st.integers(1, 12)),
+        duration=draw(st.sampled_from((10.0, 30.0, 60.0))),
+        seed=draw(st.integers(0, 10_000)),
+        mean_hold=draw(st.sampled_from((0.5, 2.0, 4.0))),
+        request_rate=draw(st.sampled_from((1.0, 4.0, 12.0))),
     )
-    return [
-        (event.action, event.member, event.time)
-        for event in generate("seminar", config)
-        if event.action in ("request", "release")
-    ]
+    events = generate(draw(st.sampled_from(SCENARIOS)), config)
+    return events, draw(st.integers(1, max(1, len(events))))
 
 
-def reference_events(policy):
-    server = getattr(policy, "server", None)
-    log = server.log if server is not None else policy.log
-    return list(log.tail(1 << 30))
+def seeded(scenario, capacity=None, **config):
+    """One fixed-seed corpus workload, as a hypothesis example."""
+    return example(workload=(generate(scenario, WorkloadConfig(**config)), capacity))
+
+
+def generated(test):
+    """Run ``test(..., workload)`` on the derandomized generated cases."""
+    return settings(max_examples=EXAMPLES, deadline=None, derandomize=True)(
+        given(workload=workloads())(test)
+    )
+
+
+def floor_steps(events):
+    return [event for event in events if event.action in ("request", "release")]
 
 
 def transcript(events):
     return dumps_transcript(events, meta=build_meta(events))
 
 
-def drive_per_call(policy, steps):
-    for action, member, when in steps:
-        if action == "request":
-            policy.request(member, when)
+def stats_tuple(policy):
+    stats = policy.stats
+    return (stats.granted, stats.queued, stats.denied, stats.aborted)
+
+
+def drive_per_call(policy, events):
+    """The per-call oracle: one ``request``/``release`` per event."""
+    for event in floor_steps(events):
+        if event.action == "request":
+            policy.request(event.member, event.time)
         else:
-            policy.release(member, when)
+            policy.release(event.member, event.time)
 
 
-def drive_batched(policy, steps):
-    """The fleet scheduler's shape: batch consecutive requests."""
-    batch = []
+class Recording:
+    """Records every decision the shared driver asks a policy for."""
 
-    def flush():
-        if batch:
-            policy.request_batch(list(batch))
-            batch.clear()
+    def __init__(self, policy):
+        self.policy = policy
+        self.outcomes = []
 
-    for action, member, when in steps:
-        if action == "request":
-            batch.append((member, when))
+    def request_batch(self, submissions):
+        outcomes = self.policy.request_batch(submissions)
+        self.outcomes.extend(outcomes)
+        return outcomes
+
+    def release(self, member, now):
+        successor = self.policy.release(member, now)
+        self.outcomes.append(successor)
+        return successor
+
+
+def oracle(policy, events, members):
+    """The request/release/post → fold loop, written out per call."""
+    fold = MetricsFold(mode="exact", members=members)
+    outcomes = []
+    requests = posts = 0
+    for event in events:
+        if event.action == "request":
+            requests += 1
+            fold.requested(event.member, event.time)
+            granted = policy.request(event.member, event.time)
+            outcomes.append(granted)
+            if granted:
+                fold.serve(event.member, event.time)
+        elif event.action == "release":
+            successor = policy.release(event.member, event.time)
+            outcomes.append(successor)
+            if successor is not None:
+                fold.serve(successor, event.time)
         else:
-            flush()
-            policy.release(member, when)
-    flush()
+            posts += 1
+    return outcomes, fold, requests, posts
+
+
+def fold_state(fold):
+    return fold.served, fold.latencies, dict(fold.counts), fold.fairness()
+
+
+# ----------------------------------------------------------------------
+# The shared driver against a per-call oracle
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", ALL_POLICIES)
+@seeded("seminar", members=10, duration=120.0, seed=3, request_rate=3.0)
+@seeded("lecture", capacity=16, members=12, duration=60.0, seed=7, request_rate=12.0)
+@generated
+def test_driver_matches_per_call_oracle(name, engine, workload):
+    events, capacity = workload
+    members = member_names(12)
+    driven = make_engine_policy(name, engine=engine, log_capacity=capacity)
+    recording = Recording(driven)
+    driver = PolicyDriver(recording, MetricsFold(mode="exact", members=members), events)
+    assert driver.advance(math.inf) == len(events)
+
+    per_call = make_engine_policy(name, engine=engine, log_capacity=capacity)
+    outcomes, fold, requests, posts = oracle(per_call, events, members)
+
+    assert recording.outcomes == outcomes
+    assert (driver.requests, driver.posts, driver.events) == (
+        requests, posts, len(events)
+    )
+    assert fold_state(driver.fold) == fold_state(fold)
+    assert stats_tuple(driven) == stats_tuple(per_call)
+    grants = [outcome for outcome in outcomes if isinstance(outcome, bool)]
+    assert (driven.stats.granted, driven.stats.queued) == (
+        grants.count(True), grants.count(False)
+    )
+    assert driven.evicted == per_call.evicted
 
 
 # ----------------------------------------------------------------------
 # Byte identity
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ALL_POLICIES)
-def test_per_call_transcripts_byte_identical(name):
-    steps = workload_steps()
-    reference = make_policy(name)
-    compiled = compile_policy(name)
-    drive_per_call(reference, steps)
-    drive_per_call(compiled, steps)
-    assert transcript(reference_events(reference)) == transcript(
-        list(compiled.events())
-    )
-
-
-@pytest.mark.parametrize("name", MODES)
-def test_batched_transcripts_byte_identical(name):
-    steps = workload_steps(seed=9)
-    reference = make_policy(name)
-    compiled = compile_policy(name)
-    drive_batched(reference, steps)
-    drive_batched(compiled, steps)
-    assert transcript(reference_events(reference)) == transcript(
-        list(compiled.events())
-    )
+@seeded("seminar", members=10, duration=120.0, seed=3, request_rate=3.0)
+@generated
+def test_per_call_transcripts_byte_identical(name, workload):
+    events, capacity = workload
+    reference = make_policy(name, log_capacity=capacity)
+    compiled = compile_policy(name, log_capacity=capacity)
+    drive_per_call(reference, events)
+    drive_per_call(compiled, events)
+    assert transcript(reference.events()) == transcript(compiled.events())
+    assert reference.evicted == compiled.evicted
 
 
 @pytest.mark.parametrize("name", ALL_POLICIES)
-def test_decisions_and_views_match_step_by_step(name):
+@seeded("seminar", members=10, duration=120.0, seed=9, request_rate=3.0)
+@generated
+def test_batched_transcripts_byte_identical(name, workload):
+    events, capacity = workload
+    transcripts = []
+    for engine in ENGINES:
+        policy = make_engine_policy(name, engine=engine, log_capacity=capacity)
+        PolicyDriver(policy, MetricsFold(mode="fold"), events).advance(math.inf)
+        transcripts.append((transcript(policy.events()), policy.evicted))
+    assert transcripts[0] == transcripts[1]
+
+
+@pytest.mark.parametrize("name", ALL_POLICIES)
+@seeded("seminar", members=10, duration=120.0, seed=11, request_rate=3.0)
+@generated
+def test_decisions_and_views_match_step_by_step(name, workload):
+    events, _ = workload
     reference = make_policy(name)
     compiled = compile_policy(name)
-    for action, member, when in workload_steps(seed=11):
-        if action == "request":
+    for event in floor_steps(events):
+        member, when = event.member, event.time
+        if event.action == "request":
             assert reference.request(member, when) == compiled.request(
                 member, when
             ), f"{name}: request({member!r}) diverged"
@@ -113,54 +214,53 @@ def test_decisions_and_views_match_step_by_step(name):
         assert list(reference.waiting()) == list(compiled.waiting())
 
 
-@pytest.mark.parametrize("name", MODES)
-def test_arbitration_stats_match(name):
-    steps = workload_steps(seed=5)
+@pytest.mark.parametrize("name", ALL_POLICIES)
+@seeded("seminar", members=10, duration=120.0, seed=5, request_rate=3.0)
+@generated
+def test_arbitration_stats_match(name, workload):
+    events, _ = workload
     reference = make_policy(name)
     compiled = compile_policy(name)
-    drive_per_call(reference, steps)
-    drive_per_call(compiled, steps)
-    expected = reference.server.arbitrator.stats
-    actual = compiled.stats
-    assert (actual.granted, actual.queued, actual.denied, actual.aborted) == (
-        expected.granted,
-        expected.queued,
-        expected.denied,
-        expected.aborted,
-    )
+    drive_per_call(reference, events)
+    drive_per_call(compiled, events)
+    assert stats_tuple(compiled) == stats_tuple(reference)
 
 
 def test_ring_eviction_parity():
     """With a tight ring both engines keep the same tail and count."""
-    steps = workload_steps(members=12, duration=240.0, seed=7, request_rate=5.0)
+    events = generate(
+        "seminar",
+        WorkloadConfig(members=12, duration=240.0, seed=7, request_rate=5.0),
+    )
     reference = make_policy("equal_control", log_capacity=32)
     compiled = compile_policy("equal_control", log_capacity=32)
-    drive_per_call(reference, steps)
-    drive_per_call(compiled, steps)
-    ref_log = reference.server.log
-    assert compiled.evicted == ref_log.evicted
+    drive_per_call(reference, events)
+    drive_per_call(compiled, events)
+    assert compiled.evicted == reference.evicted
     assert compiled.evicted > 0
-    assert transcript(reference_events(reference)) == transcript(
-        list(compiled.events())
-    )
+    assert transcript(reference.events()) == transcript(compiled.events())
 
 
-def test_fifo_counters_match_reference():
-    steps = workload_steps(seed=13)
+@seeded("seminar", members=10, duration=120.0, seed=13, request_rate=3.0)
+@generated
+def test_fifo_counters_match_reference(workload):
+    events, _ = workload
     reference = make_policy("fifo")
     compiled = compile_policy("fifo")
-    drive_per_call(reference, steps)
-    drive_per_call(compiled, steps)
+    drive_per_call(reference, events)
+    drive_per_call(compiled, events)
     assert compiled.grants == reference.impl.grants
     assert compiled.waits == reference.impl.waits
 
 
-def test_free_for_all_collisions_match_reference():
-    steps = workload_steps(seed=17, request_rate=8.0)
+@seeded("seminar", members=10, duration=120.0, seed=17, request_rate=8.0)
+@generated
+def test_free_for_all_collisions_match_reference(workload):
+    events, _ = workload
     reference = make_policy("free_for_all")
     compiled = compile_policy("free_for_all")
-    drive_per_call(reference, steps)
-    drive_per_call(compiled, steps)
+    drive_per_call(reference, events)
+    drive_per_call(compiled, events)
     assert compiled.posts() == len(reference.impl.posts)
     assert compiled.collision_rate() == reference.impl.collision_rate()
 
@@ -171,14 +271,15 @@ def test_free_for_all_collisions_match_reference():
 def test_numpy_backend_byte_identical():
     numpy = pytest.importorskip("numpy")
     assert numpy is not None
-    steps = workload_steps(seed=19)
+    events = generate(
+        "seminar",
+        WorkloadConfig(members=10, duration=120.0, seed=19, request_rate=3.0),
+    )
     plain = compile_policy("equal_control", numpy=False)
     vectored = compile_policy("equal_control", numpy=True)
-    drive_per_call(plain, steps)
-    drive_per_call(vectored, steps)
-    assert transcript(list(plain.events())) == transcript(
-        list(vectored.events())
-    )
+    drive_per_call(plain, events)
+    drive_per_call(vectored, events)
+    assert transcript(plain.events()) == transcript(vectored.events())
 
 
 def test_numpy_env_flag_controls_default(monkeypatch):
@@ -211,15 +312,25 @@ def test_make_engine_policy_dispatches():
         make_engine_policy("equal_control", engine="compiled"), CompiledEngine
     )
     reference = make_engine_policy("equal_control", engine="reference")
-    assert hasattr(reference, "server")
+    assert isinstance(reference, ArbitratedPolicy)
     with pytest.raises(ReproError, match="engine"):
         make_engine_policy("fifo", engine="turbo")
+
+
+def test_make_engine_policy_runs_only_the_built_ins():
+    from repro.api.policies import register_policy, unregister_policy
+
+    register_policy("custom_engine", lambda **kwargs: None)
+    try:
+        for engine in ENGINES:
+            with pytest.raises(ReproError, match="built-in policies"):
+                make_engine_policy("custom_engine", engine=engine)
+    finally:
+        unregister_policy("custom_engine")
 
 
 def test_direct_contact_chair_request_matches_reference():
     reference = make_policy("direct_contact")
     compiled = compile_policy("direct_contact")
     assert reference.request("teacher") == compiled.request("teacher") is False
-    assert transcript(reference_events(reference)) == transcript(
-        list(compiled.events())
-    )
+    assert transcript(reference.events()) == transcript(compiled.events())

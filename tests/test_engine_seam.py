@@ -126,6 +126,24 @@ def test_policy_runner_rejects_unknown_engine():
         run_sweep(spec)
 
 
+@pytest.mark.parametrize("engine", ["reference", "compiled"])
+def test_policy_runner_rejects_custom_policy(engine):
+    from repro.api.policies import register_policy, unregister_policy
+
+    register_policy("custom_cell", lambda **kwargs: None)
+    try:
+        spec = SweepSpec(
+            name="seam",
+            base={"policy": "custom_cell", "engine": engine},
+            runner="policy",
+            root_seed=4,
+        )
+        with pytest.raises(ReproError, match="custom_cell"):
+            run_sweep(spec)
+    finally:
+        unregister_policy("custom_cell")
+
+
 # ----------------------------------------------------------------------
 # Fleet seam
 # ----------------------------------------------------------------------
@@ -140,7 +158,10 @@ def test_fleet_rejects_uncompiled_policy(monkeypatch):
 
     register_policy("custom_seam", lambda **kwargs: None)
     try:
-        FleetConfig(engine="batch", policy="custom_seam").validate()
+        # Fleets drive the shared policy surface, which only the six
+        # built-ins have: a custom policy is rejected on every engine.
+        with pytest.raises(ReproError, match="built-in policies"):
+            FleetConfig(engine="batch", policy="custom_seam").validate()
         with pytest.raises(ReproError, match="no compiled engine"):
             FleetConfig(engine="compiled", policy="custom_seam").validate()
     finally:

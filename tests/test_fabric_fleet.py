@@ -146,6 +146,18 @@ class TestEngines:
                                     policy="fifo")).metrics
         assert metrics.requests > 0
 
+    def test_facade_free_access_grants_every_request(self):
+        # Generated requests carry no explicit mode, so the session's
+        # own policy arbitrates them.
+        metrics = run_fleet(_config(
+            sessions=3, shards=1, members=6, engine="facade",
+            policy="free_access", scenario="lecture", request_rate=12.0,
+            duration=30.0, seed=3,
+        )).metrics
+        assert metrics.requests > 0
+        assert metrics.granted == metrics.requests
+        assert metrics.queued == 0
+
 
 class TestRingBound:
     def test_ring_mode_bounds_live_transcript(self):
@@ -158,6 +170,21 @@ class TestRingBound:
         assert log.evicted > 0
         assert session.summary().evicted == log.evicted
         session.close()
+
+    @pytest.mark.parametrize("engine", ["batch", "compiled"])
+    @pytest.mark.parametrize("policy", ["fifo", "free_for_all"])
+    def test_baseline_fleets_fold_ring_evictions(self, policy, engine):
+        config = _config(sessions=4, shards=1, members=4, scenario="seminar",
+                         duration=30.0, seed=3, ring_capacity=8,
+                         policy=policy, engine=engine)
+        evicted = 0
+        for index in range(config.sessions):
+            session = make_session(index, config)
+            session.advance(config.duration)
+            evicted += session.policy.evicted
+            session.close()
+        assert evicted > 0
+        assert run_fleet(config).metrics.evicted == evicted
 
 
 class TestSweepIntegration:

@@ -6,7 +6,7 @@ import random
 from hypothesis import given, strategies as st
 
 from repro.fabric import FleetMetrics, LatencyHistogram
-from repro.fabric.metrics import _EDGES
+from repro.metrics.histogram import EDGES
 
 
 class TestLatencyHistogram:
@@ -57,7 +57,7 @@ class TestLatencyHistogram:
         h.add(1e-9)   # below the first edge
         h.add(1e9)    # beyond the last edge
         assert h.count == 2
-        assert h.quantile(100) == _EDGES[-1]
+        assert h.quantile(100) == EDGES[-1]
 
     def test_pickle_round_trip(self):
         h = LatencyHistogram()

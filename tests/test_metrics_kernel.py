@@ -12,9 +12,7 @@ contracts every consumer now rests on:
 * fold-mode shard merges are exact and order-invariant;
 * both modes emit the same ``to_metrics`` schema, with integer tallies
   bit-identical across modes;
-* the live session fold feeds the report and monitor correctly, and
-  the old ``experiments.metrics`` / ``fabric.metrics`` facades still
-  answer.
+* the live session fold feeds the report and monitor correctly.
 """
 
 import random
@@ -26,11 +24,8 @@ from repro.errors import ReproError, SessionError
 from repro.events.bus import EventBus
 from repro.events.replay import transcript_metrics
 from repro.events.types import EventKind, FloorEvent
-from repro.experiments import metrics as experiment_metrics
-from repro.fabric import metrics as fabric_metrics
 from repro.metrics import (
     FleetMetrics,
-    LatencyHistogram,
     MetricsFold,
     jain_fairness,
     jain_fairness_from_moments,
@@ -392,27 +387,3 @@ class TestBusMetrics:
         fold = bus.metrics(members=["alice", "bob"], mode="fold")
         assert fold.mode == "fold"
         assert set(fold.counts) == {"alice", "bob"}
-
-
-class TestFacades:
-    """The pre-kernel import surfaces still answer."""
-
-    def test_experiment_helpers_delegate_to_the_fold(self):
-        events = random_transcript(9, events=100)
-        exact = MetricsFold(mode="exact")
-        for event in events:
-            exact.add(event)
-        assert experiment_metrics.grant_latencies(events) == exact.latencies
-        roster = MEMBERS + ["ghost"]
-        seeded = MetricsFold(members=roster)
-        for event in events:
-            seeded.add(event)
-        assert experiment_metrics.served_counts(events, roster) == dict(
-            seeded.counts
-        )
-
-    def test_stats_exported_from_both_surfaces(self):
-        assert experiment_metrics.jain_fairness is jain_fairness
-        assert experiment_metrics.percentile is percentile
-        assert fabric_metrics.FleetMetrics is FleetMetrics
-        assert fabric_metrics.LatencyHistogram is LatencyHistogram
