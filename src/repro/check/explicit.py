@@ -1,16 +1,16 @@
-"""Fast explicit-state model checking with counterexample traces.
+"""Explicit-state model checking with counterexample traces.
 
-This engine replaces the dict-heavy
-:func:`repro.petri.analysis.reachability_graph` path for *checking*:
-the old analyser keeps every state as a ``Marking`` dict and every
-edge in one flat list; here a net is compiled once into index arrays
-(:class:`CompiledNet`), states are interned as fixed-place-order byte
-encodings (:class:`~repro.petri.analysis.MarkingCodec`), successors
-come from sparse per-transition delta lists, and properties are
-evaluated on the fly as each state is discovered — so a violation
-surfaces with a replayable firing trace without materialising the
-whole graph.  ``ReachabilityGraph`` stays available as a thin
-compatibility view (:meth:`Exploration.to_reachability_graph`).
+Property checking built on the compiled explorer of
+:mod:`repro.petri.analysis`: the same
+:class:`~repro.petri.analysis.CompiledNet` index arrays, the same
+breadth-first discovery order and the same
+:class:`~repro.petri.analysis.Exploration` output (states interned
+here as :class:`~repro.petri.analysis.MarkingCodec` byte encodings).
+This module adds evaluating properties on the fly as each state is
+discovered: a violation surfaces with a replayable firing trace
+without materialising the whole graph, and the search stops once
+every property is decided.  :meth:`ExplicitEngine.explore` is the
+plain exploration, :func:`repro.petri.analysis.explore`.
 
 Verdicts are never silently truncated: a safety property unviolated
 within an *incomplete* exploration is ``UNKNOWN``, only a complete
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..errors import CheckError, NotEnabledError
-from ..petri.analysis import MarkingCodec, ReachabilityGraph
+from ..petri.analysis import CompiledNet, Exploration, check_budget, explore
 from ..petri.net import Marking, PetriNet
 from .props import DeadlockFree, EventuallyFires, Property, Verdict
 
@@ -37,87 +37,6 @@ __all__ = [
     "CheckReport",
     "check_explicit",
 ]
-
-
-class CompiledNet:
-    """A net lowered to integer index arrays for fast firing.
-
-    Compilation happens once per engine; after that, enabledness is a
-    few list lookups and firing is sparse addition — no ``Marking``
-    dicts, no name hashing, no re-validation.
-    """
-
-    __slots__ = (
-        "net",
-        "codec",
-        "transitions",
-        "pre",
-        "delta",
-        "capacity_checks",
-    )
-
-    def __init__(self, net: PetriNet) -> None:
-        self.net = net
-        self.codec = MarkingCodec(net)
-        self.transitions: tuple[str, ...] = tuple(net.transitions)
-        #: per transition: ``[(place_index, required_tokens), ...]``
-        self.pre: list[list[tuple[int, int]]] = []
-        #: per transition: ``[(place_index, token_change), ...]`` nonzero
-        self.delta: list[list[tuple[int, int]]] = []
-        #: per transition: ``[(place_index, inflow, capacity), ...]``
-        self.capacity_checks: list[list[tuple[int, int, int]]] = []
-        for transition in self.transitions:
-            inputs = net.inputs(transition)
-            outputs = net.outputs(transition)
-            self.pre.append(
-                [
-                    (self.codec.index_of(place), weight)
-                    for place, weight in inputs.items()
-                ]
-            )
-            delta: dict[int, int] = {}
-            for place, weight in inputs.items():
-                delta[self.codec.index_of(place)] = -weight
-            for place, weight in outputs.items():
-                index = self.codec.index_of(place)
-                delta[index] = delta.get(index, 0) + weight
-            self.delta.append(
-                [(index, change) for index, change in delta.items() if change]
-            )
-            checks = []
-            for place, weight in outputs.items():
-                capacity = net.places[place].capacity
-                if capacity is None:
-                    continue
-                index = self.codec.index_of(place)
-                stays_minus = inputs.get(place, 0)
-                checks.append((index, weight - stays_minus, capacity))
-            self.capacity_checks.append(checks)
-
-    def initial_counts(self) -> tuple[int, ...]:
-        """The net's current marking as a counts tuple."""
-        return self.codec.key(self.net.marking())
-
-    def enabled(self, counts: Sequence[int], transition_index: int) -> bool:
-        """Whether transition ``transition_index`` may fire in ``counts``
-        (token sufficiency plus capacity headroom, matching
-        :meth:`~repro.petri.net.PetriNet.is_enabled`)."""
-        for index, required in self.pre[transition_index]:
-            if counts[index] < required:
-                return False
-        for index, inflow, capacity in self.capacity_checks[transition_index]:
-            if counts[index] + inflow > capacity:
-                return False
-        return True
-
-    def fire(
-        self, counts: Sequence[int], transition_index: int
-    ) -> tuple[int, ...]:
-        """Successor counts of firing an *enabled* transition."""
-        successor = list(counts)
-        for index, change in self.delta[transition_index]:
-            successor[index] += change
-        return tuple(successor)
 
 
 @dataclass(frozen=True)
@@ -179,83 +98,11 @@ class PropertyVerdict:
     note: str = ""
 
 
-@dataclass
-class Exploration:
-    """Raw exploration output: interned states and adjacency.
-
-    ``states`` holds counts tuples in discovery (BFS) order;
-    ``succ`` is the adjacency list (``(transition_index, target)``
-    pairs); ``parent`` maps each non-initial state to the
-    ``(source, transition_index)`` edge that discovered it, which is
-    how counterexample traces are reconstructed without storing paths.
-    """
-
-    codec: MarkingCodec
-    transitions: tuple[str, ...]
-    states: list[tuple[int, ...]] = field(default_factory=list)
-    succ: list[list[tuple[int, int]]] = field(default_factory=list)
-    parent: list[tuple[int, int]] = field(default_factory=list)
-    complete: bool = True
-    compiled: "CompiledNet | None" = field(default=None, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def trace_to(self, index: int) -> tuple[str, ...]:
-        """Transition names firing from the initial marking to state
-        ``index``."""
-        names: list[str] = []
-        while index != 0:
-            source, transition_index = self.parent[index]
-            names.append(self.transitions[transition_index])
-            index = source
-        names.reverse()
-        return tuple(names)
-
-    def marking_of(self, index: int) -> Marking:
-        """State ``index`` as a :class:`~repro.petri.net.Marking`."""
-        return self.codec.marking(self.states[index])
-
-    def deadlock_indices(self) -> list[int]:
-        """Genuinely dead states (no transition enabled).
-
-        On a budget-truncated exploration, frontier states whose
-        successors were never interned have empty edge lists without
-        being dead — they are re-checked for enabledness rather than
-        misreported (the same honesty fix
-        :func:`repro.petri.analysis.find_deadlocks` carries)."""
-        candidates = [i for i, out in enumerate(self.succ) if not out]
-        if self.complete or self.compiled is None:
-            return candidates
-        compiled = self.compiled
-        return [
-            i
-            for i in candidates
-            if not any(
-                compiled.enabled(self.states[i], t)
-                for t in range(len(self.transitions))
-            )
-        ]
-
-    def to_reachability_graph(self) -> ReachabilityGraph:
-        """The legacy :class:`~repro.petri.analysis.ReachabilityGraph`
-        view of this exploration (same node order, same edges)."""
-        graph = ReachabilityGraph(complete=self.complete)
-        graph.nodes = [self.marking_of(i) for i in range(len(self.states))]
-        graph.edges.extend(
-            (source, self.transitions[transition_index], target)
-            for source, out in enumerate(self.succ)
-            for transition_index, target in out
-        )
-        return graph
-
-
 class ExplicitEngine:
     """Breadth-first explicit-state engine over a compiled net."""
 
     def __init__(self, net: PetriNet, max_states: int = 100_000) -> None:
-        if max_states < 1:
-            raise CheckError(f"max_states must be >= 1, got {max_states!r}")
+        check_budget(max_states, "max_states", CheckError)
         self.compiled = CompiledNet(net)
         self.max_states = max_states
 
@@ -265,7 +112,7 @@ class ExplicitEngine:
         Pure exploration (no properties) — the raw-throughput path the
         E13 benchmark measures against the legacy analyser.
         """
-        return self._run(())[0]
+        return explore(self.compiled, self.max_states)
 
     def check(self, properties: Iterable[Property]) -> "CheckReport":
         """Explore with on-the-fly evaluation of ``properties``.
@@ -388,8 +235,8 @@ class ExplicitEngine:
             record_violations(0, violated(initial))
         # The BFS below is the hot loop: transition data and containers
         # are bound to locals, and enabledness/firing are inlined
-        # rather than routed through CompiledNet's methods — per-state
-        # cost is what the E13 states/sec claim rests on.
+        # rather than routed through CompiledNet's methods, as in
+        # repro.petri.analysis.explore, whose node order it keeps.
         pre_lists = compiled.pre
         delta_lists = compiled.delta
         capacity_lists = compiled.capacity_checks

@@ -5,8 +5,13 @@ verifiable model ("users can dynamically modify and verify different
 kinds of conditions during the presentation").  This module provides the
 verification side:
 
-* :func:`reachability_graph` — explicit-state exploration with a node
-  budget;
+* :class:`CompiledNet` / :func:`explore` — the compiled explorer every
+  verdict below runs on: a net lowered once to index arrays, states
+  interned as fixed-place-order counts tuples, breadth-first, with
+  parent pointers for firing traces (:mod:`repro.check.explicit`
+  builds on-the-fly property checking on the same structures);
+* :func:`reachability_graph` — the full graph as ``Marking`` dicts and
+  labelled edges, with a node budget;
 * :func:`is_bounded` / :func:`bound_of` — coverability-based
   unboundedness detection (Karp–Miller style cut-off);
 * :func:`find_deadlocks` — reachable dead markings, with
@@ -16,13 +21,22 @@ verification side:
 * :func:`incidence_matrix`, :func:`place_invariants` — structural
   analysis via the incidence matrix over the rationals.
 
+Two facts keep the verdicts cheap.  A net is live (L4) iff every
+*bottom* strongly connected component of its complete reachability
+graph — one no edge leaves — carries an edge of every transition
+(Murata 1989): every marking reaches some bottom component, and inside
+one every edge is reachable again.  So :func:`is_live` is one Tarjan
+pass, O(V+E).  And a marking strictly covers another only with a
+strictly larger token sum, so :func:`is_bounded` skips the ancestor
+scan of any marking whose sum is at most the smallest on its chain.
+
 :class:`MarkingCodec` is the canonical fixed-place-order encoder the
 hot paths intern markings through (``Marking.frozen()`` re-sorts the
 items on every call; the codec reads places in net declaration order,
-so building a key is one pass with no sort).  The richer byte-level
-engine lives in :mod:`repro.check.explicit`.
+so building a key is one pass with no sort).
 
-All functions leave the net's own marking untouched.
+Every budget is an ``int`` >= 1 (not a ``bool``), checked before any
+work.  All functions leave the net's own marking untouched.
 """
 
 from __future__ import annotations
@@ -33,11 +47,15 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
-from ..errors import PetriNetError
+from ..errors import PetriNetError, UnknownNodeError
 from .net import Marking, PetriNet
 
 __all__ = [
     "MarkingCodec",
+    "CompiledNet",
+    "Exploration",
+    "explore",
+    "check_budget",
     "ReachabilityGraph",
     "reachability_graph",
     "is_bounded",
@@ -54,6 +72,22 @@ __all__ = [
 ]
 
 _MarkingKey = tuple[int, ...]
+
+
+def check_budget(
+    value: object, name: str = "max_nodes", error: type[Exception] = PetriNetError
+) -> int:
+    """``value`` as a state budget: an ``int`` >= 1 that is not a ``bool``.
+
+    Raises
+    ------
+    PetriNetError
+        (or ``error``) naming ``name`` for anything else — ``0``, a
+        float such as ``nan`` (which no size ever reaches), a ``bool``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise error(f"{name} must be an int >= 1, got {value!r}")
+    return value
 
 
 def _mutating(name: str):
@@ -168,6 +202,232 @@ class MarkingCodec:
         return Marking(zip(self.places, counts))
 
 
+class CompiledNet:
+    """A net lowered to integer index arrays for fast firing.
+
+    Compilation happens once per analysis; after that, enabledness is a
+    few list lookups and firing is sparse addition — no ``Marking``
+    dicts, no name hashing, no re-validation.
+    """
+
+    __slots__ = (
+        "net",
+        "codec",
+        "transitions",
+        "pre",
+        "delta",
+        "capacity_checks",
+    )
+
+    def __init__(self, net: PetriNet) -> None:
+        self.net = net
+        self.codec = MarkingCodec(net)
+        self.transitions: tuple[str, ...] = tuple(net.transitions)
+        #: per transition: ``[(place_index, required_tokens), ...]``
+        self.pre: list[list[tuple[int, int]]] = []
+        #: per transition: ``[(place_index, token_change), ...]`` nonzero
+        self.delta: list[list[tuple[int, int]]] = []
+        #: per transition: ``[(place_index, inflow, capacity), ...]``
+        self.capacity_checks: list[list[tuple[int, int, int]]] = []
+        index_of = {place: i for i, place in enumerate(self.codec.places)}
+        places = net.places
+        for transition in self.transitions:
+            inputs = net.inputs(transition)
+            outputs = net.outputs(transition)
+            self.pre.append(
+                [(index_of[place], weight) for place, weight in inputs.items()]
+            )
+            delta: dict[int, int] = {}
+            for place, weight in inputs.items():
+                delta[index_of[place]] = -weight
+            for place, weight in outputs.items():
+                index = index_of[place]
+                delta[index] = delta.get(index, 0) + weight
+            self.delta.append(
+                [(index, change) for index, change in delta.items() if change]
+            )
+            checks = []
+            for place, weight in outputs.items():
+                capacity = places[place].capacity
+                if capacity is None:
+                    continue
+                stays_minus = inputs.get(place, 0)
+                checks.append((index_of[place], weight - stays_minus, capacity))
+            self.capacity_checks.append(checks)
+
+    def initial_counts(self) -> tuple[int, ...]:
+        """The net's current marking as a counts tuple."""
+        return self.codec.key(self.net.marking())
+
+    def enabled(self, counts: Sequence[int], transition_index: int) -> bool:
+        """Whether transition ``transition_index`` may fire in ``counts``
+        (token sufficiency plus capacity headroom, matching
+        :meth:`~repro.petri.net.PetriNet.is_enabled`)."""
+        for index, required in self.pre[transition_index]:
+            if counts[index] < required:
+                return False
+        for index, inflow, capacity in self.capacity_checks[transition_index]:
+            if counts[index] + inflow > capacity:
+                return False
+        return True
+
+    def fire(
+        self, counts: Sequence[int], transition_index: int
+    ) -> tuple[int, ...]:
+        """Successor counts of firing an *enabled* transition."""
+        successor = list(counts)
+        for index, change in self.delta[transition_index]:
+            successor[index] += change
+        return tuple(successor)
+
+
+@dataclass
+class Exploration:
+    """Raw exploration output: interned states and adjacency.
+
+    ``states`` holds counts tuples in discovery (BFS) order;
+    ``succ`` is the adjacency list (``(transition_index, target)``
+    pairs); ``parent`` maps each non-initial state to the
+    ``(source, transition_index)`` edge that discovered it, which is
+    how counterexample traces are reconstructed without storing paths.
+    """
+
+    codec: MarkingCodec
+    transitions: tuple[str, ...]
+    states: list[tuple[int, ...]] = field(default_factory=list)
+    succ: list[list[tuple[int, int]]] = field(default_factory=list)
+    parent: list[tuple[int, int]] = field(default_factory=list)
+    complete: bool = True
+    compiled: "CompiledNet | None" = field(default=None, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def trace_to(self, index: int) -> tuple[str, ...]:
+        """Transition names firing from the initial marking to state
+        ``index``."""
+        names: list[str] = []
+        while index != 0:
+            source, transition_index = self.parent[index]
+            names.append(self.transitions[transition_index])
+            index = source
+        names.reverse()
+        return tuple(names)
+
+    def marking_of(self, index: int) -> Marking:
+        """State ``index`` as a :class:`~repro.petri.net.Marking`."""
+        return self.codec.marking(self.states[index])
+
+    def deadlock_indices(self) -> list[int]:
+        """Genuinely dead states (no transition enabled).
+
+        On a budget-truncated exploration, frontier states whose
+        successors were never interned have empty edge lists without
+        being dead — they are re-checked for enabledness rather than
+        misreported."""
+        candidates = [i for i, out in enumerate(self.succ) if not out]
+        if self.complete or self.compiled is None:
+            return candidates
+        compiled = self.compiled
+        return [
+            i
+            for i in candidates
+            if not any(
+                compiled.enabled(self.states[i], t)
+                for t in range(len(self.transitions))
+            )
+        ]
+
+    def to_reachability_graph(self) -> ReachabilityGraph:
+        """The :class:`ReachabilityGraph` view of this exploration
+        (same node order, same edges)."""
+        graph = ReachabilityGraph(complete=self.complete)
+        graph.nodes = [self.marking_of(i) for i in range(len(self.states))]
+        graph.edges.extend(
+            (source, self.transitions[transition_index], target)
+            for source, out in enumerate(self.succ)
+            for transition_index, target in out
+        )
+        return graph
+
+
+def explore(compiled: CompiledNet, max_states: int) -> Exploration:
+    """Breadth-first exploration of up to ``max_states`` markings.
+
+    Nodes come out in the order :func:`reachability_graph` discovers
+    them, and edges are the same ones: an edge to a marking that no
+    longer fits the budget is dropped and the result is marked
+    ``complete=False``.
+
+    Raises
+    ------
+    PetriNetError
+        On a budget that is not an ``int`` >= 1.
+    """
+    check_budget(max_states, "max_states")
+    exploration = Exploration(
+        codec=compiled.codec, transitions=compiled.transitions, compiled=compiled
+    )
+    states = exploration.states
+    succ = exploration.succ
+    parent = exploration.parent
+    initial = compiled.initial_counts()
+    # A counts tuple is its own interning key, so a new state is
+    # stored once for both the visited map and ``states``.
+    index_of: dict[_MarkingKey, int] = {initial: 0}
+    index_get = index_of.get
+    states.append(initial)
+    succ.append([])
+    parent.append((-1, -1))
+    # Enabledness and firing are inlined from CompiledNet's methods:
+    # this loop runs once per edge.
+    rules = list(
+        zip(
+            range(len(compiled.transitions)),
+            compiled.pre,
+            compiled.capacity_checks,
+            compiled.delta,
+        )
+    )
+    # States are appended in discovery order and expanded first in,
+    # first out, so the BFS queue is just the next index to expand.
+    current_index = 0
+    while current_index < len(states):
+        current = states[current_index]
+        out = succ[current_index]
+        for transition_index, pre, capacity_checks, delta in rules:
+            for index, required in pre:
+                if current[index] < required:
+                    break
+            else:
+                for index, inflow, capacity in capacity_checks:
+                    if current[index] + inflow > capacity:
+                        break
+                else:
+                    successor = list(current)
+                    for index, change in delta:
+                        successor[index] += change
+                    key = tuple(successor)
+                    target = index_get(key)
+                    if target is None:
+                        if len(states) >= max_states:
+                            exploration.complete = False
+                            continue
+                        target = len(states)
+                        index_of[key] = target
+                        states.append(key)
+                        succ.append([])
+                        parent.append((current_index, transition_index))
+                    out.append((transition_index, target))
+        current_index += 1
+    return exploration
+
+
+def _explore_net(net: PetriNet, max_nodes: int) -> Exploration:
+    check_budget(max_nodes)
+    return explore(CompiledNet(net), max_nodes)
+
+
 @dataclass
 class ReachabilityGraph:
     """Explicit reachability graph of a net from its current marking.
@@ -240,11 +500,17 @@ class ReachabilityGraph:
 def reachability_graph(net: PetriNet, max_nodes: int = 10_000) -> ReachabilityGraph:
     """Explore the state space of ``net`` from its current marking.
 
-    Exploration is breadth-first and stops after ``max_nodes`` distinct
-    markings, setting ``complete=False`` on the result.
+    Exploration is breadth-first over ``Marking`` dicts and stops after
+    ``max_nodes`` distinct markings, setting ``complete=False`` on the
+    result.  The verdict functions below run on the compiled
+    :func:`explore` instead; this is the full-graph API.
+
+    Raises
+    ------
+    PetriNetError
+        On a budget that is not an ``int`` >= 1.
     """
-    if max_nodes < 1:
-        raise PetriNetError(f"max_nodes must be >= 1, got {max_nodes!r}")
+    check_budget(max_nodes)
     graph = ReachabilityGraph()
     codec = MarkingCodec(net)
     start = net.marking()
@@ -278,41 +544,60 @@ def reachability_graph(net: PetriNet, max_nodes: int = 10_000) -> ReachabilityGr
 def is_bounded(net: PetriNet, max_nodes: int = 10_000) -> bool:
     """Coverability-based boundedness check.
 
-    Walks the reachability tree keeping each branch's ancestor chain; if
-    a marking strictly covers one of its ancestors the net is unbounded
-    (a pumpable firing sequence exists).  A net whose exploration drains
-    within ``max_nodes`` without such a cover is bounded; exceeding the
-    budget without a verdict raises.
+    Walks the reachability tree depth-first keeping each branch's
+    ancestor chain; if a marking strictly covers one of its ancestors
+    the net is unbounded (a pumpable firing sequence exists).  A net
+    whose exploration drains within ``max_nodes`` without such a cover
+    is bounded; exceeding the budget without a verdict raises.
+
+    Each chain link records the smallest token sum on the chain up to
+    it.  A strict cover needs a strictly larger token sum, so a marking
+    whose sum is at most that minimum skips the scan, and a scan stops
+    at the first link whose minimum reaches the marking's sum.
 
     Raises
     ------
     PetriNetError
-        If the budget is exhausted before a verdict.
+        On a budget that is not an ``int`` >= 1, or when the budget is
+        exhausted before a verdict.
     """
-    codec = MarkingCodec(net)
-    start = net.marking()
-    # Depth-first with explicit ancestor chains.
-    stack: list[tuple[Marking, tuple[Marking, ...]]] = [(start, ())]
+    check_budget(max_nodes)
+    compiled = CompiledNet(net)
+    transition_indices = range(len(compiled.transitions))
+    # A link is (counts, token sum, smallest sum on the chain up to and
+    # including it, parent link); a stack entry is (counts, the link of
+    # the marking that pushed it).
+    stack: list[tuple[_MarkingKey, tuple | None]] = [
+        (compiled.initial_counts(), None)
+    ]
     seen: set[_MarkingKey] = set()
-    visited = 0
     while stack:
-        marking, ancestors = stack.pop()
-        key = codec.key(marking)
-        if key in seen:
+        counts, chain = stack.pop()
+        if counts in seen:
             continue
-        seen.add(key)
-        visited += 1
-        if visited > max_nodes:
+        seen.add(counts)
+        if len(seen) > max_nodes:
             raise PetriNetError(
                 f"boundedness undecided within {max_nodes} nodes"
             )
-        for ancestor in ancestors:
-            if marking.strictly_covers(ancestor):
-                return False
-        chain = ancestors + (marking,)
-        for transition in net.enabled_transitions(marking):
-            successor = net.successor_marking(marking, transition)
-            stack.append((successor, chain))
+        total = sum(counts)
+        floor = total
+        if chain is not None:
+            link = chain
+            while link is not None and link[2] < total:
+                if link[1] < total and all(
+                    mine >= theirs for mine, theirs in zip(counts, link[0])
+                ):
+                    return False
+                link = link[3]
+            floor = min(total, chain[2])
+        node = (counts, total, floor, chain)
+        for transition_index in transition_indices:
+            if compiled.enabled(counts, transition_index):
+                successor = compiled.fire(counts, transition_index)
+                # A marking already seen would be skipped on pop.
+                if successor not in seen:
+                    stack.append((successor, node))
     return True
 
 
@@ -321,9 +606,21 @@ def bound_of(net: PetriNet, place: str, max_nodes: int = 10_000) -> int:
 
     Only meaningful on bounded nets (check :func:`is_bounded` first);
     on incomplete exploration this is a lower bound.
+
+    Raises
+    ------
+    UnknownNodeError
+        For a place the net does not have, before any exploration.
+    PetriNetError
+        On a budget that is not an ``int`` >= 1.
     """
-    graph = reachability_graph(net, max_nodes=max_nodes)
-    return max(marking.get(place, 0) for marking in graph.nodes)
+    check_budget(max_nodes)
+    if place not in net.places:
+        raise UnknownNodeError(f"unknown place {place!r} in {net.name!r}")
+    compiled = CompiledNet(net)
+    index = compiled.codec.index_of(place)
+    states = explore(compiled, max_nodes).states
+    return max(counts[index] for counts in states)
 
 
 class DeadlockResult(list):
@@ -356,23 +653,36 @@ def find_deadlocks(net: PetriNet, max_nodes: int = 10_000) -> DeadlockResult:
     interned) are re-checked for enabledness, so only genuinely dead
     markings are reported.
     """
-    graph = reachability_graph(net, max_nodes=max_nodes)
-    deadlocks = [graph.nodes[i] for i in graph.deadlock_indices()]
-    if not graph.complete:
-        deadlocks = [
-            marking
-            for marking in deadlocks
-            if not net.enabled_transitions(marking)
-        ]
+    exploration = _explore_net(net, max_nodes)
     return DeadlockResult(
-        deadlocks, complete=graph.complete, explored=len(graph.nodes)
+        [exploration.marking_of(i) for i in exploration.deadlock_indices()],
+        complete=exploration.complete,
+        explored=len(exploration),
     )
 
 
 def dead_transitions(net: PetriNet, max_nodes: int = 10_000) -> set[str]:
-    """Transitions that never fire anywhere in the explored graph (L0-dead)."""
-    graph = reachability_graph(net, max_nodes=max_nodes)
-    return set(net.transitions) - graph.transitions_seen()
+    """Transitions that never fire anywhere in the explored graph (L0-dead).
+
+    Raises
+    ------
+    PetriNetError
+        When the budget truncated the exploration before every
+        transition was seen to fire: the rest may fire further on.
+    """
+    exploration = _explore_net(net, max_nodes)
+    fired = {t for out in exploration.succ for t, __ in out}
+    dead = {
+        name
+        for index, name in enumerate(exploration.transitions)
+        if index not in fired
+    }
+    if dead and not exploration.complete:
+        raise PetriNetError(
+            f"dead transitions undecided within {max_nodes} markings: "
+            f"{sorted(dead)} did not fire before the budget ran out"
+        )
+    return dead
 
 
 @dataclass(frozen=True)
@@ -408,38 +718,78 @@ def is_live(net: PetriNet, max_nodes: int = 10_000) -> LivenessResult:
     """Liveness over the explored graph (L4 in Murata's hierarchy).
 
     Every transition must be fireable again from every reachable
-    marking, i.e. from each node some path reaches an edge labelled with
-    each transition.  Checked by fixpoint on the finite graph.  On a
-    truncated exploration the result is undecided
-    (``LivenessResult(live=None, complete=False, ...)``) rather than a
-    guess; truthiness of an undecided result raises.
+    marking.  On the complete graph that holds iff every bottom
+    strongly connected component has an edge of every transition,
+    decided in one Tarjan pass.  On a truncated exploration the result
+    is undecided (``LivenessResult(live=None, complete=False, ...)``)
+    rather than a guess; truthiness of an undecided result raises.
     """
-    graph = reachability_graph(net, max_nodes=max_nodes)
-    explored = len(graph.nodes)
-    if not graph.complete:
+    exploration = _explore_net(net, max_nodes)
+    explored = len(exploration)
+    if not exploration.complete:
         return LivenessResult(live=None, complete=False, explored=explored)
-    transitions = set(net.transitions)
-    if not transitions:
-        return LivenessResult(live=True, complete=True, explored=explored)
-    # For each transition: the set of nodes from which it is eventually
-    # fireable is the backward closure of the sources of its edges.
-    predecessors: dict[int, list[int]] = {i: [] for i in range(len(graph.nodes))}
-    for source, __, target in graph.edges:
-        predecessors[target].append(source)
-    for transition in transitions:
-        can_fire = {s for s, label, __ in graph.edges if label == transition}
-        if not can_fire:
-            return LivenessResult(live=False, complete=True, explored=explored)
-        frontier = deque(can_fire)
-        while frontier:
-            node = frontier.popleft()
-            for predecessor in predecessors[node]:
-                if predecessor not in can_fire:
-                    can_fire.add(predecessor)
-                    frontier.append(predecessor)
-        if len(can_fire) != len(graph.nodes):
-            return LivenessResult(live=False, complete=True, explored=explored)
-    return LivenessResult(live=True, complete=True, explored=explored)
+    live = _bottom_components_fire_all(
+        exploration.succ, len(exploration.transitions)
+    )
+    return LivenessResult(live=live, complete=True, explored=explored)
+
+
+def _bottom_components_fire_all(
+    succ: list[list[tuple[int, int]]], transition_count: int
+) -> bool:
+    """Whether every bottom SCC of the graph carries an edge of each of
+    ``transition_count`` transitions (iterative Tarjan; every node is
+    reachable from node 0)."""
+    order = [-1] * len(succ)  # DFS discovery number
+    low = [0] * len(succ)
+    component = [-1] * len(succ)  # set once the node's SCC is popped
+    on_path = [0]  # Tarjan's stack of nodes without a component yet
+    order[0] = 0
+    counter = 1
+    components = 0
+    work = [(0, iter(succ[0]))]
+    while work:
+        node, edges = work[-1]
+        for __, target in edges:
+            if order[target] < 0:
+                order[target] = low[target] = counter
+                counter += 1
+                on_path.append(target)
+                work.append((target, iter(succ[target])))
+                break
+            if component[target] < 0 and order[target] < low[node]:
+                low[node] = order[target]
+        else:
+            work.pop()
+            if work:
+                caller = work[-1][0]
+                if low[node] < low[caller]:
+                    low[caller] = low[node]
+            if low[node] != order[node]:
+                continue
+            members = []
+            while True:
+                member = on_path.pop()
+                component[member] = components
+                members.append(member)
+                if member == node:
+                    break
+            # Components pop in reverse topological order: an edge out
+            # of this one ends in a component that is already numbered.
+            fired: set[int] = set()
+            bottom = True
+            for member in members:
+                for transition_index, target in succ[member]:
+                    if component[target] != components:
+                        bottom = False
+                        break
+                    fired.add(transition_index)
+                if not bottom:
+                    break
+            if bottom and len(fired) < transition_count:
+                return False
+            components += 1
+    return True
 
 
 def incidence_matrix(net: PetriNet) -> tuple[list[str], list[str], list[list[int]]]:

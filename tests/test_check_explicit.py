@@ -90,6 +90,36 @@ class TestExplorationEquivalence:
         with pytest.raises(CheckError):
             ExplicitEngine(race_net(), max_states=0)
 
+    @pytest.mark.parametrize(
+        "budget", [float("nan"), 2.0, True, None], ids=repr
+    )
+    def test_non_integer_budget_rejected(self, budget):
+        # A NaN budget used to pass the < 1 check and never stop the
+        # search on an unbounded net.
+        with pytest.raises(CheckError, match="max_states"):
+            ExplicitEngine(race_net(), max_states=budget)
+
+    def test_explorer_rejects_nan_budget(self):
+        from repro.errors import PetriNetError
+        from repro.petri.analysis import explore
+
+        with pytest.raises(PetriNetError, match="max_states"):
+            explore(CompiledNet(race_net()), float("nan"))
+
+    def test_engine_explore_is_the_petri_explorer(self):
+        from repro import check
+        from repro.petri import analysis
+
+        assert check.CompiledNet is analysis.CompiledNet
+        assert check.Exploration is analysis.Exploration
+        net = product_cycles(cycles=3, length=3)
+        engine = ExplicitEngine(net, max_states=20)
+        plain = analysis.explore(CompiledNet(net), 20)
+        mine = engine.explore()
+        assert (mine.states, mine.succ, mine.parent, mine.complete) == (
+            plain.states, plain.succ, plain.parent, plain.complete
+        )
+
 
 class TestSafetyVerdicts:
     def test_mutex_violation_has_replayable_trace(self):

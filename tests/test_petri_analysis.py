@@ -1,10 +1,14 @@
 """Tests for Petri net analysis: reachability, boundedness, liveness,
 invariants."""
 
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.check.nets import floor_model, product_cycles
+from repro.core.modes import FCMMode
 from repro.errors import PetriNetError
 from repro.petri.analysis import (
     MarkingCodec,
@@ -19,6 +23,8 @@ from repro.petri.analysis import (
     reachability_graph,
 )
 from repro.petri.net import Marking, PetriNet
+from repro.temporal.compiler import compile_spec
+from repro.workload.presentations import figure1_presentation, random_presentation
 
 
 def cycle_net(tokens=1):
@@ -55,6 +61,27 @@ def unbounded_net():
     net.add_arc("seed", "pump")
     net.add_arc("pump", "seed")
     net.add_arc("pump", "sink")
+    return net
+
+
+def chain_net(length=5):
+    """p0 -> t0 -> p1 -> ... -> t{length-1} -> p{length}, one token."""
+    net = PetriNet("chain")
+    for index in range(length + 1):
+        net.add_place(f"p{index}", tokens=1 if index == 0 else 0)
+    for index in range(length):
+        net.add_transition(f"t{index}")
+        net.add_arc(f"p{index}", f"t{index}")
+        net.add_arc(f"t{index}", f"p{index + 1}")
+    return net
+
+
+def stuck_net():
+    """cycle_net plus a transition that can never fire."""
+    net = cycle_net()
+    net.add_place("never", tokens=0)
+    net.add_transition("stuck")
+    net.add_arc("never", "stuck")
     return net
 
 
@@ -298,6 +325,233 @@ class TestExplorationProvenance:
         verdict = is_live(unbounded_net(), max_nodes=5)
         with pytest.raises(PetriNetError):
             bool(verdict)
+
+    def test_truncated_dead_transitions_undecided(self):
+        # Every transition fires in the full space; three markings only
+        # reach t0 and t1, which must not read as t2..t4 being dead.
+        net = chain_net()
+        assert dead_transitions(net) == set()
+        with pytest.raises(PetriNetError, match="undecided within 3"):
+            dead_transitions(net, max_nodes=3)
+
+    def test_truncated_dead_transitions_that_saw_every_firing(self):
+        assert dead_transitions(unbounded_net(), max_nodes=5) == set()
+
+    def test_complete_dead_transitions_still_reported(self):
+        assert dead_transitions(stuck_net(), max_nodes=3) == {"stuck"}
+
+    def test_bound_of_unknown_place_raises(self):
+        from repro.errors import UnknownNodeError
+
+        with pytest.raises(UnknownNodeError, match="no_such_place"):
+            bound_of(cycle_net(), "no_such_place")
+
+
+ANALYSES = (
+    reachability_graph, find_deadlocks, is_live, dead_transitions, is_bounded,
+)
+
+
+class TestBudgetValidation:
+    """Every budget is an int >= 1 that is not a bool, checked up front."""
+
+    @pytest.mark.parametrize(
+        "budget", [float("nan"), 0, -3, 2.0, True, "10", None],
+        ids=["nan", "zero", "negative", "float", "bool", "str", "none"],
+    )
+    @pytest.mark.parametrize("analysis", ANALYSES, ids=lambda f: f.__name__)
+    def test_bad_budget_rejected(self, analysis, budget):
+        with pytest.raises(PetriNetError, match="max_nodes"):
+            analysis(cycle_net(), max_nodes=budget)
+
+    @pytest.mark.parametrize("budget", [float("nan"), 0, True])
+    def test_bound_of_bad_budget_rejected(self, budget):
+        with pytest.raises(PetriNetError, match="max_nodes"):
+            bound_of(cycle_net(), "p1", max_nodes=budget)
+
+    def test_zero_budget_blames_the_budget_not_the_net(self):
+        with pytest.raises(PetriNetError, match="max_nodes must be"):
+            is_bounded(cycle_net(), max_nodes=0)
+
+
+# ---------------------------------------------------------------------
+# Differential agreement: the verdict functions against the algorithms
+# they were first written as, kept here as oracles.
+# ---------------------------------------------------------------------
+
+BUDGETS = (1, 2, 3, 5, 10, 50, 2000)
+
+
+def oracle_deadlocks(net, graph):
+    """Edge-less nodes of the graph, re-checked on a truncated one."""
+    deadlocks = [graph.nodes[i] for i in graph.deadlock_indices()]
+    if not graph.complete:
+        deadlocks = [m for m in deadlocks if not net.enabled_transitions(m)]
+    return deadlocks
+
+
+def oracle_dead_transitions(net, graph):
+    """Transitions labelling no edge; undecided on a truncated graph."""
+    dead = set(net.transitions) - graph.transitions_seen()
+    if dead and not graph.complete:
+        return PetriNetError
+    return dead
+
+
+def oracle_live(net, graph):
+    """One backward closure per transition over every edge."""
+    if not graph.complete:
+        return None
+    predecessors = {i: [] for i in range(len(graph.nodes))}
+    for source, __, target in graph.edges:
+        predecessors[target].append(source)
+    for transition in net.transitions:
+        can_fire = {s for s, label, __ in graph.edges if label == transition}
+        if not can_fire:
+            return False
+        frontier = deque(can_fire)
+        while frontier:
+            for predecessor in predecessors[frontier.popleft()]:
+                if predecessor not in can_fire:
+                    can_fire.add(predecessor)
+                    frontier.append(predecessor)
+        if len(can_fire) != len(graph.nodes):
+            return False
+    return True
+
+
+def oracle_bounded(net, max_nodes):
+    """Depth-first search carrying each branch's ancestor tuple.
+
+    Returns the verdict (or ``PetriNetError``) and how many markings
+    the search had visited when it was reached.  The search order does
+    not depend on the budget, so a smaller budget ``b`` gives the same
+    verdict when that count is at most ``b`` and raises otherwise.
+    """
+    stack = [(net.marking(), ())]
+    seen = set()
+    while stack:
+        marking, ancestors = stack.pop()
+        if marking.frozen() in seen:
+            continue
+        seen.add(marking.frozen())
+        if len(seen) > max_nodes:
+            return PetriNetError, len(seen)
+        if any(marking.strictly_covers(a) for a in ancestors):
+            return False, len(seen)
+        chain = ancestors + (marking,)
+        for transition in net.enabled_transitions(marking):
+            stack.append((net.successor_marking(marking, transition), chain))
+    return True, len(seen)
+
+
+def outcome(function, *args, **kwargs):
+    """The function's result, or ``PetriNetError`` if it raised one."""
+    try:
+        return function(*args, **kwargs)
+    except PetriNetError:
+        return PetriNetError
+
+
+def assert_agreement(net):
+    before = net.marking()
+    bounded, visited = oracle_bounded(net, max(BUDGETS))
+    for budget in BUDGETS:
+        graph = reachability_graph(net, max_nodes=budget)
+        deadlocks = find_deadlocks(net, max_nodes=budget)
+        assert list(deadlocks) == oracle_deadlocks(net, graph)
+        assert (deadlocks.complete, deadlocks.explored) == (
+            graph.complete, len(graph)
+        )
+        live = is_live(net, max_nodes=budget)
+        assert (live.live, live.complete, live.explored) == (
+            oracle_live(net, graph), graph.complete, len(graph)
+        )
+        assert outcome(dead_transitions, net, max_nodes=budget) == (
+            oracle_dead_transitions(net, graph)
+        )
+        for place in net.places:
+            assert bound_of(net, place, max_nodes=budget) == max(
+                marking[place] for marking in graph.nodes
+            )
+        assert outcome(is_bounded, net, max_nodes=budget) == (
+            bounded if visited <= budget else PetriNetError
+        )
+    assert net.marking() == before
+
+
+def repo_nets():
+    """``(id, factory)`` for every net the repository builds."""
+    nets = [("figure1", lambda: figure1_presentation().net)]
+    nets += [
+        (f"{mode.value}-{members}",
+         lambda mode=mode, members=members: floor_model(mode, members).net)
+        for mode in FCMMode
+        for members in (2, 3, 4)
+    ]
+    nets += [
+        (f"product-{cycles}x{length}",
+         lambda cycles=cycles, length=length: product_cycles(cycles, length))
+        for cycles in range(1, 6)
+        for length in (2, 3)
+    ]
+    nets += [
+        (f"random-{items}-{seed}",
+         lambda items=items, seed=seed: compile_spec(
+             random_presentation(items, seed=seed)
+         ).net)
+        for items in (8, 32)
+        for seed in range(5)
+    ]
+    nets += [
+        (factory.__name__, factory)
+        for factory in (
+            cycle_net, linear_net, unbounded_net, chain_net, stuck_net,
+        )
+    ]
+    return nets
+
+
+@st.composite
+def small_nets(draw):
+    """1-5 places (capacity None or 1-3), 0-5 transitions, weights 1-2."""
+    net = PetriNet("generated")
+    places = draw(st.integers(1, 5))
+    for index in range(places):
+        capacity = draw(st.sampled_from((None, 1, 2, 3)))
+        tokens = draw(st.integers(0, 2 if capacity is None else capacity))
+        net.add_place(f"p{index}", tokens=tokens, capacity=capacity)
+    arcs = st.lists(st.integers(0, places - 1), max_size=3, unique=True)
+    for index in range(draw(st.integers(0, 5))):
+        transition = f"t{index}"
+        net.add_transition(transition)
+        for place in draw(arcs):
+            net.add_arc(f"p{place}", transition, weight=draw(st.integers(1, 2)))
+        for place in draw(arcs):
+            net.add_arc(transition, f"p{place}", weight=draw(st.integers(1, 2)))
+    return net
+
+
+class TestAgreementWithOracles:
+    """Same answers as the dict-graph algorithms, at every budget:
+    deadlock lists in order, provenance, liveness, dead transitions,
+    bounds, and the boundedness verdict or its budget error."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [factory for __, factory in repo_nets()],
+        ids=[name for name, __ in repo_nets()],
+    )
+    def test_repo_nets(self, factory):
+        assert_agreement(factory())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(net=small_nets())
+    def test_generated_nets(self, net):
+        assert_agreement(net)
+
+    def test_bounded_product_of_4096_markings(self):
+        assert is_bounded(product_cycles(6, 4)) is True
 
 
 class TestIncidenceAndInvariants:
