@@ -23,8 +23,8 @@ engine via a registered custom cell runner, one cell per FCM mode.
 from __future__ import annotations
 
 from repro.api import Scenario, Session, at
-from repro.core.events import EventKind
 from repro.core.modes import FCMMode
+from repro.events import EventKind
 from repro.experiments import (
     Axis,
     Cell,

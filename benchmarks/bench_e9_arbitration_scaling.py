@@ -17,7 +17,6 @@ from repro.core.modes import FCMMode
 from repro.core.resources import ResourceModel, ResourceVector
 from repro.core.server import FloorControlServer
 from repro.workload.generator import WorkloadConfig, generate, member_names
-from repro.workload.traces import drive
 
 
 def make_server(members: int):
@@ -62,7 +61,19 @@ def test_e9_seminar_workload_latency(members, table):
     events = generate(
         "seminar", WorkloadConfig(members=members, duration=120.0, seed=5)
     )
-    grants = drive(server, clock, events)
+    grants = []
+
+    def apply(event):
+        # Requests are arbitrated the instant they arrive; a release
+        # passes the token only when the member still holds it.
+        if event.action == "request":
+            grants.append(server.request_floor(event.member, mode=event.mode))
+        elif server.arbitrator.token("session").holder == event.member:
+            server.release_floor("session", event.member)
+
+    for event in events:
+        clock.call_at(event.time, apply, event)
+    clock.run()
     granted = [g for g in grants if g.outcome is RequestOutcome.GRANTED]
     queued = [g for g in grants if g.outcome is RequestOutcome.QUEUED]
     mean_latency = (

@@ -30,9 +30,8 @@ The package provides:
   and the global-clock admission rule;
 * :mod:`repro.session` — the DMPS server/client endpoints, whiteboard,
   presence lights, and the asyncio real-time bridge;
-* :mod:`repro.workload` — seeded scenario generators and trace replay;
-* :mod:`repro.baselines` — FIFO floor control and free-for-all
-  baselines.
+* :mod:`repro.workload` — seeded scenario generators and synthetic
+  presentations.
 
 Quickstart (the :mod:`repro.api` facade)::
 
@@ -49,7 +48,7 @@ docstring of :mod:`repro.session`.
 
 __version__ = "1.0.0"
 
-from . import baselines, clock, core, events, media, net, petri, session, temporal, workload
+from . import clock, core, events, media, net, petri, session, temporal, workload
 from . import api, check
 from .errors import ReproError
 
@@ -57,7 +56,6 @@ __all__ = [
     "ReproError",
     "__version__",
     "api",
-    "baselines",
     "check",
     "clock",
     "core",

@@ -1,10 +1,8 @@
 """Pluggable floor policies behind one registry.
 
-The paper's four FCM modes and the two ablation baselines
-(:class:`~repro.baselines.fifo_floor.FIFOFloorControl`,
-:class:`~repro.baselines.free_for_all.FreeForAll`) used to live on
-parallel code paths with incompatible interfaces.  This module unifies
-them behind the :class:`FloorPolicy` protocol —
+The paper's four FCM modes and the two baselines they are compared
+against — one FIFO queue (ablation A4) and no floor control at all —
+share the :class:`FloorPolicy` protocol —
 
     ``request(member, now) -> granted?``
     ``release(member, now) -> new holder``
@@ -16,8 +14,9 @@ instead of hand-wiring each implementation.
 
 The four mode policies are backed by the real
 :class:`~repro.core.server.FloorControlServer` arbitration (they are
-the paper's code path, not re-implementations); the baseline policies
-adapt the existing baseline classes, which remain importable unchanged.
+the paper's code path, not re-implementations); the two baseline
+policies, :class:`FIFOPolicy` and :class:`FreeForAllPolicy`, are
+self-contained.
 
 Beyond the protocol, the six built-in policies here and their compiled
 twins in :mod:`repro.engine.compiled` share one driving surface —
@@ -38,16 +37,14 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Protocol, runtime_checkable
 
-from ..baselines.fifo_floor import FIFOFloorControl
-from ..baselines.free_for_all import FreeForAll
 from ..clock.virtual import VirtualClock
 from ..core.arbitrator import ArbitrationStats
-from ..core.events import EventKind, EventLog, FloorEvent
-from ..core.floor import RequestOutcome
+from ..core.floor import RequestOutcome, check_floor_time
 from ..core.modes import FCMMode
 from ..core.resources import ResourceModel, ResourceVector
 from ..core.server import FloorControlServer
 from ..errors import FloorControlError, ReproError
+from ..events import EventBus, EventKind, FloorEvent
 
 __all__ = [
     "FloorPolicy",
@@ -249,12 +246,12 @@ class ArbitratedPolicy:
 
 
 class _LoggedBaseline:
-    """The shared surface of the two baseline wrappers: a replayable
+    """The shared surface of the two baseline policies: a replayable
     transcript (:attr:`log`), decision counters and a per-call batch
     seam.  Subclasses define ``name`` and ``request``."""
 
     def __init__(self, log_capacity: int | None) -> None:
-        self.log = EventLog(capacity=log_capacity)
+        self.log = EventBus(capacity=log_capacity)
         self.stats = ArbitrationStats()
         self._seen: set[str] = set()
 
@@ -272,6 +269,7 @@ class _LoggedBaseline:
         return [self.request(member, now) for member, now in submissions]
 
     def _log_request(self, member: str, now: float) -> None:
+        check_floor_time(now)
         if member not in self._seen:
             self._seen.add(member)
             self.log.append(now, EventKind.JOIN, member, "session")
@@ -285,68 +283,87 @@ class _LoggedBaseline:
 
 
 class FIFOPolicy(_LoggedBaseline):
-    """The A4 baseline (:class:`FIFOFloorControl`) behind the protocol.
+    """The A4 baseline: one global FIFO queue, no modes, no member
+    priorities, no resource awareness.  Whoever asks first speaks;
+    everyone else waits, the chair included — which is what the
+    mode/priority/resource machinery of the paper avoids.
 
-    The wrapper also records a replayable transcript (:attr:`log`) in
-    the server's event vocabulary, so baseline runs are comparable —
-    and byte-identity-checkable against the compiled engine — with the
-    mode policies: ``JOIN`` on a member's first request, ``REQUEST``
-    plus ``GRANT``/``QUEUE`` per ask (queue events carry the holder
-    reason and the 1-based position), ``TOKEN_PASS`` on a successful
-    release.  Baselines have no virtual clock, so events carry the
-    workload timestamps the caller passes as ``now``.
+    :attr:`grants` counts floor hand-overs (first grants and queue
+    promotions) and :attr:`waits` members added to the queue.  The
+    policy also records a replayable transcript (:attr:`log`) in the
+    server's event vocabulary, so baseline runs are comparable — and
+    byte-identity-checkable against the compiled engine — with the mode
+    policies: ``JOIN`` on a member's first request, ``REQUEST`` plus
+    ``GRANT``/``QUEUE`` per ask (queue events carry the holder reason
+    and the 1-based position), ``TOKEN_PASS`` on a successful release.
+    Baselines have no virtual clock, so events carry the workload
+    timestamps the caller passes as ``now``; a non-finite ``now`` raises
+    :class:`~repro.errors.FloorControlError` before anything changes.
     """
 
     name = "fifo"
 
     def __init__(self, log_capacity: int | None = None) -> None:
         super().__init__(log_capacity)
-        self.impl = FIFOFloorControl()
+        self.grants = 0
+        self.waits = 0
+        self._holder: str | None = None
+        self._queue: list[str] = []
 
     def request(self, member: str, now: float = 0.0) -> bool:
         """Single global queue: first asker speaks, the rest wait."""
         self._log_request(member, now)
-        granted = self.impl.request(member, now)
-        if granted:
+        if self._holder is None:
+            self._holder = member
+            self.grants += 1
+        if self._holder == member:
             self._log_grant(member, now)
-        else:
-            self.stats.queued += 1
-            reason = f"floor held by {self.impl.holder!r}"
-            self.log.append(
-                now, EventKind.QUEUE, member, "session", reason,
-                data={"reason": reason, "mode": self.name,
-                      "position": self.impl.queue.index(member) + 1},
-            )
-        return granted
+            return True
+        if member not in self._queue:
+            self._queue.append(member)
+            self.waits += 1
+        self.stats.queued += 1
+        reason = f"floor held by {self._holder!r}"
+        self.log.append(
+            now, EventKind.QUEUE, member, "session", reason,
+            data={"reason": reason, "mode": self.name,
+                  "position": self._queue.index(member) + 1},
+        )
+        return False
 
     def release(self, member: str, now: float = 0.0) -> str | None:
         """Head of the queue takes over; stale releases are ignored."""
-        try:
-            successor = self.impl.release(member, now)
-        except FloorControlError:
+        check_floor_time(now)
+        if self._holder != member:
             return None
+        successor = self._queue.pop(0) if self._queue else None
+        self._holder = successor
+        if successor is not None:
+            self.grants += 1
         self.log.append(now, EventKind.TOKEN_PASS, member, "session",
                         successor or "", data={"to": successor})
         return successor
 
     def speakers(self) -> set[str]:
         """The single current holder (or nobody)."""
-        return self.impl.speakers()
+        return {self._holder} if self._holder else set()
 
     def waiting(self) -> list[str]:
         """The FIFO wait queue."""
-        return list(self.impl.queue)
+        return list(self._queue)
 
 
 class FreeForAllPolicy(_LoggedBaseline):
-    """The no-floor-control baseline behind the protocol.
+    """The no-floor-control baseline: the situation floor control
+    exists to prevent.
 
-    Every request is granted and counts as an uncontrolled post, so the
-    wrapped :class:`FreeForAll` keeps scoring collisions; ``impl``
-    exposes the collision/overload counters.  Like :class:`FIFOPolicy`
-    the wrapper records a replayable transcript (:attr:`log`): ``JOIN``
-    on first request, then ``REQUEST`` + ``GRANT`` per post, at the
-    caller's workload timestamps.
+    Every request is granted and counts as an uncontrolled post.  Posts
+    from distinct authors closer than ``collision_window`` seconds
+    garble each other on a shared whiteboard; :attr:`collisions` counts
+    them.  Like :class:`FIFOPolicy` the policy records a replayable
+    transcript (:attr:`log`): ``JOIN`` on first request, then
+    ``REQUEST`` + ``GRANT`` per post, at the caller's workload
+    timestamps, which must be finite.
     """
 
     name = "free_for_all"
@@ -355,26 +372,45 @@ class FreeForAllPolicy(_LoggedBaseline):
         self, collision_window: float = 0.25, log_capacity: int | None = None
     ) -> None:
         super().__init__(log_capacity)
-        self.impl = FreeForAll(collision_window=collision_window)
+        self.collision_window = collision_window
+        self.collisions = 0
+        self._posts: list[tuple[float, str]] = []
 
     def request(self, member: str, now: float = 0.0) -> bool:
         """Always granted — that is the point of this baseline."""
         self._log_request(member, now)
-        self.impl.post(member, now)
+        for time, author in reversed(self._posts):
+            if now - time > self.collision_window:
+                break
+            if author != member:
+                self.collisions += 1
+                break
+        self._posts.append((now, member))
         self._log_grant(member, now)
         return True
 
     def release(self, member: str, now: float = 0.0) -> str | None:
         """No floor to release."""
+        check_floor_time(now)
         return None
 
     def speakers(self) -> set[str]:
         """Everyone who ever spoke."""
-        return self.impl.speakers()
+        return set(self._seen)
 
     def waiting(self) -> list[str]:
         """Nobody ever waits."""
         return []
+
+    def posts(self) -> int:
+        """How many uncontrolled posts were recorded."""
+        return len(self._posts)
+
+    def collision_rate(self) -> float:
+        """Fraction of posts that collided with another author's."""
+        if not self._posts:
+            return 0.0
+        return self.collisions / len(self._posts)
 
 
 class PolicyDriver:

@@ -40,9 +40,9 @@ from pathlib import Path
 
 from ..check.monitor import SessionMonitor, evaluate_invariant
 from ..clock.virtual import VirtualClock
-from ..core.events import EventLog
 from ..core.modes import FCMMode
 from ..errors import CheckError, SessionError
+from ..events import EventBus
 from ..metrics.fold import SESSION_FOLD_KINDS, MetricsFold
 from ..net.dynamics import NetworkDynamics
 from ..net.simnet import Network
@@ -426,12 +426,12 @@ class Session:
         return self.server.board(group)
 
     @property
-    def log(self) -> EventLog:
+    def log(self) -> EventBus:
         """The server's floor-control event log (the transcript)."""
         return self.server.control.log
 
     @property
-    def bus(self) -> EventLog:
+    def bus(self) -> EventBus:
         """The session's event bus (:mod:`repro.events`) — the same
         object as :attr:`log`, under the redesigned subsystem's name:
         indexed queries, filtered ``subscribe``, ``save``/``load``."""

@@ -37,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from ..core.events import EventKind, FloorEvent
 from ..core.modes import FCMMode
 from ..errors import CheckError, FloorControlError
+from ..events import EventKind, FloorEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..api.session import Session

@@ -12,7 +12,6 @@ Public API::
 """
 
 from .arbitrator import ArbitrationStats, Arbitrator
-from .events import EventKind, EventLog, FloorEvent
 from .floor import FloorGrant, FloorRequest, FloorToken, RequestOutcome
 from .groups import Group, GroupRegistry, Invitation, InvitationState, Member, Role
 from .modes import MIN_CONTROLLED_PRIORITY, FCMMode, PolicyFactor
@@ -25,11 +24,8 @@ __all__ = [
     "ActiveMedia",
     "ArbitrationStats",
     "Arbitrator",
-    "EventKind",
-    "EventLog",
     "FCMMode",
     "FloorControlServer",
-    "FloorEvent",
     "FloorGrant",
     "FloorRequest",
     "FloorToken",

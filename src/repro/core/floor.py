@@ -13,6 +13,7 @@ latency benchmarks (E3/E9) measure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,6 +25,7 @@ __all__ = [
     "FloorRequest",
     "FloorGrant",
     "RequestOutcome",
+    "check_floor_time",
 ]
 
 
@@ -159,6 +161,22 @@ class FloorToken:
     def waiting(self) -> list[str]:
         """The current wait queue (a copy), FIFO order."""
         return list(self.queue)
+
+
+def check_floor_time(now: float) -> None:
+    """Refuse a non-finite request or release time.
+
+    A NaN or infinite ``now`` would reach the transcript and turn every
+    latency folded from it into NaN, so the baseline policies of both
+    engines call this before they change any state.
+
+    Raises
+    ------
+    FloorControlError
+        If ``now`` is NaN or infinite.
+    """
+    if not math.isfinite(now):
+        raise FloorControlError(f"floor time must be finite, got {now!r}")
 
 
 class _RequestFactory:

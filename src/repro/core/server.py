@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from ..clock.virtual import VirtualClock
 from ..errors import FloorControlError
+from ..events import EventBus, EventKind
 from ..trace import timing as _timing
 from .arbitrator import Arbitrator
-from .events import EventKind, EventLog
 from .floor import FloorGrant, RequestOutcome, _RequestFactory
 from .groups import GroupRegistry, Invitation, Member, Role
 from .modes import FCMMode
@@ -70,7 +70,7 @@ class FloorControlServer:
         self.registry = GroupRegistry()
         self.resources = resources
         self.arbitrator = Arbitrator(self.registry, resources)
-        self.log = EventLog(capacity=log_capacity)
+        self.log = EventBus(capacity=log_capacity)
         self.session_group = session_group
         self._requests = _RequestFactory()
         self._mode: dict[str, FCMMode] = {}

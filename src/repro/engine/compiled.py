@@ -40,6 +40,7 @@ from __future__ import annotations
 from array import array
 
 from ..core.arbitrator import ArbitrationStats
+from ..core.floor import check_floor_time
 from ..core.modes import FCMMode
 from ..errors import ReproError
 from ..trace import timing as _timing
@@ -286,15 +287,14 @@ class CompiledEngine:
 
 class CompiledFIFO:
     """The FIFO baseline compiled to flat arrays (reference:
-    :class:`~repro.api.policies.FIFOPolicy` over
-    :class:`~repro.baselines.fifo_floor.FIFOFloorControl`).
+    :class:`~repro.api.policies.FIFOPolicy`).
 
     Decision semantics, counters (:attr:`grants`, :attr:`waits`,
     :attr:`stats`) and the transcript convention — JOIN on first
     request, REQUEST plus GRANT/QUEUE per ask (queue events carry the
     holder reason and the 1-based position), TOKEN_PASS on a successful
-    release, all at workload timestamps — match the reference wrapper
-    exactly.
+    release, all at workload timestamps — match the reference policy
+    exactly, down to refusing a non-finite ``now``.
     """
 
     name = "fifo"
@@ -328,6 +328,7 @@ class CompiledFIFO:
 
     def request(self, member: str, now: float = 0.0) -> bool:
         """Single global queue: first asker speaks, the rest wait."""
+        check_floor_time(now)
         mid = self._intern(member)
         append = self.log.append
         if not self._seen[mid]:
@@ -359,6 +360,7 @@ class CompiledFIFO:
 
     def release(self, member: str, now: float = 0.0) -> str | None:
         """Head of the queue takes over; stale releases are ignored."""
+        check_floor_time(now)
         mid = self._ids.get(member, -1)
         if mid < 0 or self._holder != mid:
             return None
@@ -393,13 +395,12 @@ class CompiledFIFO:
 
 class CompiledFreeForAll:
     """The no-floor-control baseline compiled to flat arrays
-    (reference: :class:`~repro.api.policies.FreeForAllPolicy` over
-    :class:`~repro.baselines.free_for_all.FreeForAll`).
+    (reference: :class:`~repro.api.policies.FreeForAllPolicy`).
 
-    Every request is granted; collisions — posts from distinct authors
-    closer than ``collision_window`` — are scored with the reference
-    scan over the recent post tail, on parallel time/author arrays
-    instead of a list of tuples.
+    Every request at a finite time is granted; collisions — posts from
+    distinct authors closer than ``collision_window`` — are scored with
+    the reference scan over the recent post tail, on parallel
+    time/author arrays instead of a list of tuples.
     """
 
     name = "free_for_all"
@@ -428,6 +429,7 @@ class CompiledFreeForAll:
 
     def request(self, member: str, now: float = 0.0) -> bool:
         """Always granted — that is the point of this baseline."""
+        check_floor_time(now)
         mid = self._ids.get(member)
         if mid is None:
             mid = len(self._names)
@@ -457,6 +459,7 @@ class CompiledFreeForAll:
 
     def release(self, member: str, now: float = 0.0) -> str | None:
         """No floor to release."""
+        check_floor_time(now)
         return None
 
     def speakers(self) -> set[str]:

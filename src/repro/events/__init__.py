@@ -20,10 +20,6 @@ switch a session makes flows through one :class:`EventBus`:
   (``EventBus.save`` / ``EventBus.load``) whose recorded metrics and
   check verdicts the ``repro replay`` CLI verb reproduces
   byte-identically from the persisted events alone.
-
-The seed-era ``EventLog`` remains available from
-:mod:`repro.core.events` as a thin alias of :class:`EventBus`, so
-existing call sites keep working unchanged.
 """
 
 from .bus import EventBus, ListenerError, Subscription

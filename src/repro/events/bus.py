@@ -1,9 +1,8 @@
 """The indexed event bus: O(k) queries, filtered subscriptions, rings.
 
-The seed-era ``EventLog`` was a flat list: every ``of_kind`` /
-``for_member`` / ``between`` query re-scanned the whole transcript, and
-every listener saw every event.  :class:`EventBus` keeps the same
-append-only semantics but maintains
+A flat event list would re-scan the whole transcript on every
+``of_kind`` / ``for_member`` / ``between`` query and hand every event
+to every listener.  :class:`EventBus` is append-only too, but maintains
 
 * a time-sorted spine (appends from the virtual clock are already
   monotonic, so ``between`` is a bisect — ``O(log n + k)``; a bus fed
@@ -127,10 +126,8 @@ def _normalize_names(names, label: str) -> frozenset[str] | None:
 class EventBus:
     """Append-only, indexed event history with filtered subscriptions.
 
-    Drop-in superset of the seed-era ``EventLog`` API (which remains as
-    a thin alias in :mod:`repro.core.events`): every query helper keeps
-    its signature, but runs off indexes instead of full scans, and
-    :meth:`subscribe` grows optional kind/member/group filters.
+    Every query helper runs off indexes instead of full scans, and
+    :meth:`subscribe` takes optional kind/member/group filters.
     """
 
     def __init__(self, capacity: int | None = None) -> None:

@@ -61,8 +61,19 @@ def canonical_json(value: Any) -> str:
     on: sorted keys, compact separators.  Transcript lines, recorded
     metadata, and replay comparisons must all go through this one
     function — two encoders drifting apart would break the replay gate
-    subtly."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    subtly.
+
+    Raises
+    ------
+    TranscriptError
+        On NaN or an infinity, which have no JSON spelling.
+    """
+    try:
+        return json.dumps(
+            value, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+    except ValueError as exc:
+        raise TranscriptError(f"not encodable as JSON: {exc}") from None
 
 
 def dumps_transcript(
@@ -84,7 +95,14 @@ def save_transcript(
     events: Iterable[FloorEvent],
     meta: Mapping[str, Any] | None = None,
 ) -> Path:
-    """Write the canonical JSONL transcript; returns the path written."""
+    """Write the canonical JSONL transcript; returns the path written.
+
+    Raises
+    ------
+    TranscriptError
+        When an event or the metadata holds NaN or an infinity; nothing
+        is written then.
+    """
     target = Path(path)
     target.write_text(dumps_transcript(events, meta=meta), encoding="utf-8")
     return target

@@ -9,8 +9,9 @@ keeps a fleet run's memory flat in simulated time.
 
 Fidelity contract, pinned by tests:
 
-* ``seminar`` and ``storm`` reproduce ``generate(name, config)``
-  *exactly* (same RNG call order, same events);
+* ``seminar`` and ``storm`` are the sequences of
+  ``generate(name, config)`` (the same generators; seminar streams
+  lazily, storm is O(members) by construction);
 * ``lecture`` and ``panel`` are lazy variants that split the single
   eager RNG into one seeded RNG per participant stream (derived via
   :func:`~repro.experiments.spec.derive_seed`) and heap-merge the
@@ -29,7 +30,13 @@ from typing import Iterator
 from ..core.modes import FCMMode
 from ..errors import ReproError
 from ..experiments.spec import derive_seed
-from ..workload.generator import RequestEvent, WorkloadConfig, member_names
+from ..workload.generator import (
+    RequestEvent,
+    WorkloadConfig,
+    _seminar,
+    generate,
+    member_names,
+)
 
 __all__ = ["stream_workload"]
 
@@ -45,9 +52,9 @@ def stream_workload(
         On an unknown scenario name.
     """
     if scenario == "seminar":
-        return _seminar(config)
+        return _seminar(config, random.Random(config.seed))  # as generate() seeds it
     if scenario == "storm":
-        return _storm(config)
+        return iter(generate("storm", config))
     if scenario == "lecture":
         return _lecture(config)
     if scenario == "panel":
@@ -63,46 +70,6 @@ def _stream_rng(config: WorkloadConfig, stream: str) -> random.Random:
 def _merge(*streams: Iterator[RequestEvent]) -> Iterator[RequestEvent]:
     """Chronological heap-merge; holds one pending event per stream."""
     return heapq.merge(*streams, key=lambda event: event.time)
-
-
-# ----------------------------------------------------------------------
-# Exact lazy reproductions
-# ----------------------------------------------------------------------
-def _seminar(config: WorkloadConfig) -> Iterator[RequestEvent]:
-    # Mirrors generator._seminar call for call: already chronological
-    # and single-threaded through one RNG, so laziness is free.
-    rng = random.Random(config.seed)
-    names = member_names(config.members)
-    t = 1.0
-    index = 0
-    while t < config.duration:
-        speaker = names[index % len(names)]
-        yield RequestEvent(time=t, member=speaker, action="request",
-                           mode=FCMMode.EQUAL_CONTROL)
-        hold = rng.uniform(0.5, 2.0) * config.mean_hold
-        t = min(t + hold, config.duration)
-        yield RequestEvent(time=t, member=speaker, action="release",
-                           mode=FCMMode.EQUAL_CONTROL)
-        t += rng.uniform(0.1, 1.0)
-        index += 1
-
-
-def _storm(config: WorkloadConfig) -> Iterator[RequestEvent]:
-    # Mirrors generator._storm; O(members) by construction.
-    rng = random.Random(config.seed)
-    events = sorted(
-        (
-            RequestEvent(
-                time=1.0 + rng.uniform(0.0, 0.01),
-                member=name,
-                action="request",
-                mode=FCMMode.EQUAL_CONTROL,
-            )
-            for name in member_names(config.members)
-        ),
-        key=lambda event: event.time,
-    )
-    yield from events
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.events import EventKind
+from ..events import EventKind
 from .dmps import DMPSClient, DMPSServer
 
 __all__ = ["SessionReport", "summarize"]

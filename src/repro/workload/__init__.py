@@ -1,19 +1,15 @@
-"""Workload generation: scenarios, synthetic presentations, traces."""
+"""Workload generation: scenarios and synthetic presentations."""
 
 from .generator import RequestEvent, WorkloadConfig, generate, member_names, scenario
 from .presentations import figure1_presentation, lecture_ocpn, random_presentation
-from .traces import TraceRecorder, drive, replay
 
 __all__ = [
     "RequestEvent",
-    "TraceRecorder",
     "WorkloadConfig",
-    "drive",
     "figure1_presentation",
     "generate",
     "lecture_ocpn",
     "member_names",
     "random_presentation",
-    "replay",
     "scenario",
 ]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..core.modes import FCMMode
 from ..errors import ReproError
@@ -76,7 +77,7 @@ def generate(scenario: str, config: WorkloadConfig) -> list[RequestEvent]:
     if scenario == "lecture":
         return _lecture(config, rng)
     if scenario == "seminar":
-        return _seminar(config, rng)
+        return list(_seminar(config, rng))
     if scenario == "panel":
         return _panel(config, rng)
     if scenario == "storm":
@@ -128,26 +129,22 @@ def _lecture(config: WorkloadConfig, rng: random.Random) -> list[RequestEvent]:
     return events
 
 
-def _seminar(config: WorkloadConfig, rng: random.Random) -> list[RequestEvent]:
-    events: list[RequestEvent] = []
+def _seminar(config: WorkloadConfig, rng: random.Random) -> Iterator[RequestEvent]:
+    # Lazy: already chronological through one RNG, so the fleet streams
+    # it without buffering (repro.fabric.workload).
     names = member_names(config.members)
     t = 1.0
     index = 0
     while t < config.duration:
         speaker = names[index % len(names)]
-        events.append(
-            RequestEvent(time=t, member=speaker, action="request",
-                         mode=FCMMode.EQUAL_CONTROL)
-        )
+        yield RequestEvent(time=t, member=speaker, action="request",
+                           mode=FCMMode.EQUAL_CONTROL)
         hold = rng.uniform(0.5, 2.0) * config.mean_hold
         t = min(t + hold, config.duration)
-        events.append(
-            RequestEvent(time=t, member=speaker, action="release",
-                         mode=FCMMode.EQUAL_CONTROL)
-        )
+        yield RequestEvent(time=t, member=speaker, action="release",
+                           mode=FCMMode.EQUAL_CONTROL)
         t += rng.uniform(0.1, 1.0)
         index += 1
-    return events
 
 
 def _panel(config: WorkloadConfig, rng: random.Random) -> list[RequestEvent]:

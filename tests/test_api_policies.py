@@ -13,6 +13,7 @@ from repro.api import (
 )
 from repro.core import FCMMode
 from repro.errors import ReproError
+from repro.events.replay import transcript_metrics
 
 EXPECTED_NAMES = {
     "free_access",
@@ -160,14 +161,14 @@ class TestBaselineAdapters:
         assert policy.release("alice", now=1.0) == "bob"
         # Stale release does not raise through the protocol.
         assert policy.release("alice", now=1.5) is None
-        assert policy.impl.mean_grant_latency() == pytest.approx(0.25)
+        assert transcript_metrics(policy.events())["grant_mean"] == pytest.approx(0.25)
 
     def test_free_for_all_counts_collisions(self):
         policy = make_policy("free_for_all")
         assert policy.request("alice", now=0.0)
         assert policy.request("bob", now=0.1)  # within the window
         assert policy.speakers() == {"alice", "bob"}
-        assert policy.impl.collisions == 1
+        assert policy.collisions == 1
         assert policy.waiting() == []
 
 

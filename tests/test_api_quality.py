@@ -17,7 +17,6 @@ import repro
 _PACKAGES = [
     "repro",
     "repro.api",
-    "repro.baselines",
     "repro.check",
     "repro.clock",
     "repro.core",

@@ -5,7 +5,7 @@ integration."""
 import pytest
 
 from repro.api import Scenario, Session, at
-from repro.core.events import EventKind
+from repro.events import EventKind
 from repro.core.modes import FCMMode
 from repro.check.monitor import (
     SessionMonitor,

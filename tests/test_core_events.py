@@ -1,10 +1,10 @@
 """Tests for the floor-control event log."""
 
-from repro.core.events import EventKind, EventLog
+from repro.events import EventBus, EventKind
 
 
 def seeded_log():
-    log = EventLog()
+    log = EventBus()
     log.append(1.0, EventKind.JOIN, "alice", "session")
     log.append(2.0, EventKind.REQUEST, "alice", "session", "equal_control")
     log.append(2.0, EventKind.GRANT, "alice", "session")
@@ -17,7 +17,7 @@ def seeded_log():
 
 class TestEventLog:
     def test_append_returns_event(self):
-        log = EventLog()
+        log = EventBus()
         event = log.append(1.0, EventKind.JOIN, "x", "g", "note")
         assert event.time == 1.0
         assert event.detail == "note"
@@ -56,7 +56,7 @@ class TestEventLog:
         ]
 
     def test_tail_larger_than_log(self):
-        log = EventLog()
+        log = EventBus()
         log.append(1.0, EventKind.JOIN, "x", "g")
         assert len(log.tail(10)) == 1
 
@@ -84,7 +84,7 @@ class _Recorder:
 
 class TestEventLogSubscribe:
     def test_unsubscribe_removes_by_identity_not_equality(self):
-        log = EventLog()
+        log = EventBus()
         first, second = _Recorder(), _Recorder()
         unsubscribe_first = log.subscribe(first)
         log.subscribe(second)
@@ -94,7 +94,7 @@ class TestEventLogSubscribe:
         assert second.seen == [event]  # the equal listener survived
 
     def test_listener_unsubscribing_itself_mid_callback(self):
-        log = EventLog()
+        log = EventBus()
         seen = []
         unsubscribe = None
 
@@ -108,7 +108,7 @@ class TestEventLogSubscribe:
         assert len(seen) == 1  # no crash; second append not observed
 
     def test_raising_listener_does_not_corrupt_log_or_starve_others(self):
-        log = EventLog()
+        log = EventBus()
         seen = []
 
         def explode(event):
@@ -122,7 +122,7 @@ class TestEventLogSubscribe:
         assert len(log.listener_errors) == 1
 
     def test_append_from_listener_keeps_global_order(self):
-        log = EventLog()
+        log = EventBus()
 
         def reactor(event):
             if event.kind is EventKind.REQUEST:

@@ -4,7 +4,7 @@ arbitration + event log)."""
 import pytest
 
 from repro.clock.virtual import VirtualClock
-from repro.core.events import EventKind
+from repro.events import EventKind
 from repro.core.modes import FCMMode
 from repro.core.resources import ResourceModel, ResourceVector
 from repro.core.server import FloorControlServer

@@ -23,7 +23,7 @@ from repro.engine import (
     compiled_policy_names,
     make_engine_policy,
 )
-from repro.errors import ReproError
+from repro.errors import FloorControlError, ReproError
 from repro.events.replay import build_meta
 from repro.events.transcript import dumps_transcript
 from repro.metrics import MetricsFold
@@ -249,8 +249,8 @@ def test_fifo_counters_match_reference(workload):
     compiled = compile_policy("fifo")
     drive_per_call(reference, events)
     drive_per_call(compiled, events)
-    assert compiled.grants == reference.impl.grants
-    assert compiled.waits == reference.impl.waits
+    assert compiled.grants == reference.grants
+    assert compiled.waits == reference.waits
 
 
 @seeded("seminar", members=10, duration=120.0, seed=17, request_rate=8.0)
@@ -261,8 +261,34 @@ def test_free_for_all_collisions_match_reference(workload):
     compiled = compile_policy("free_for_all")
     drive_per_call(reference, events)
     drive_per_call(compiled, events)
-    assert compiled.posts() == len(reference.impl.posts)
-    assert compiled.collision_rate() == reference.impl.collision_rate()
+    assert compiled.posts() == reference.posts()
+    assert compiled.collision_rate() == reference.collision_rate()
+
+
+BASELINE_CALLS = {
+    "request": lambda policy, now: policy.request("carol", now),
+    "request_batch": lambda policy, now: policy.request_batch([("carol", now)]),
+    "release": lambda policy, now: policy.release("alice", now),
+}
+
+
+@pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(BASELINE_CALLS))
+@pytest.mark.parametrize("name", ["fifo", "free_for_all"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_baselines_refuse_non_finite_times(engine, name, call, now):
+    policy = make_engine_policy(name, engine=engine)
+    policy.request("alice", 1.0)
+    policy.request("bob", 2.0)
+
+    def state():
+        return (policy.events(), policy.speakers(), policy.waiting(),
+                stats_tuple(policy))
+
+    before = state()
+    with pytest.raises(FloorControlError, match="floor time must be finite"):
+        BASELINE_CALLS[call](policy, now)
+    assert state() == before
 
 
 # ----------------------------------------------------------------------

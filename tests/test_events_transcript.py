@@ -64,6 +64,15 @@ class TestSaveLoad:
         path = save_transcript(tmp_path / "t.jsonl", events)
         assert list(load_transcript(path).events) == events
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_is_refused_not_written(self, tmp_path, time):
+        bus = EventBus()
+        bus.append(time, EventKind.JOIN, "alice", "session")
+        target = tmp_path / "t.jsonl"
+        with pytest.raises(TranscriptError, match="JSON"):
+            save_transcript(target, bus)
+        assert not target.exists()
+
 
 class TestValidation:
     def test_missing_file(self, tmp_path):

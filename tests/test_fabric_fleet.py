@@ -1,5 +1,7 @@
 """Tests for the fleet fabric: determinism, sharding, sweep and CLI glue."""
 
+import inspect
+
 import pytest
 
 from repro.errors import ReproError
@@ -249,6 +251,10 @@ class TestLazyWorkloadStreams:
         config = WorkloadConfig(members=6, duration=40.0, seed=9)
         assert list(stream_workload(scenario, config)) == \
             generate(scenario, config)
+
+    def test_seminar_stream_stays_lazy(self):
+        stream = stream_workload("seminar", WorkloadConfig(members=6, seed=9))
+        assert inspect.isgenerator(stream)
 
     @pytest.mark.parametrize("scenario", ["lecture", "panel"])
     def test_lazy_scenarios_are_deterministic_and_ordered(self, scenario):
