@@ -81,13 +81,25 @@ class TranscriptState:
     the per-group token holder (learned from grants and passes), the
     per-group wait queue, and the per-group mode.  :meth:`apply` is the
     single fold step; :func:`check_transcript` drives it and evaluates
-    the stream invariants after every floor-moving event.
+    the stream invariants after every floor-moving event.  Initial
+    ``queues`` may be passed in; after that, change them only through
+    :meth:`apply`, which keeps a private member set beside each queue.
     """
 
     members: set[str] = field(default_factory=set)
     holders: dict[str, str | None] = field(default_factory=dict)
     queues: dict[str, list[str]] = field(default_factory=dict)
     modes: dict[str, str] = field(default_factory=dict)
+    #: The members of each ``queues`` list, so the queue checks take
+    #: O(1) per group rather than a scan of the queue.
+    _queued: dict[str, set[str]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._queued = {
+            group: set(queue) for group, queue in self.queues.items()
+        }
 
     def apply(self, event: FloorEvent) -> bool:
         """Fold one event; returns whether floor state moved."""
@@ -99,9 +111,8 @@ class TranscriptState:
         elif kind is EventKind.LEAVE:
             self.members.discard(event.member)
             # The server withdraws a leaver from every wait queue.
-            for queue in self.queues.values():
-                while event.member in queue:
-                    queue.remove(event.member)
+            for group in self.queues:
+                self._unqueue(group, event.member)
         elif kind is EventKind.GRANT:
             self.holders[event.group] = event.member
             self._unqueue(event.group, event.member)
@@ -109,9 +120,10 @@ class TranscriptState:
             # Mirrors FloorToken.request's idempotency: a queued member
             # re-requesting logs another QUEUE event but occupies one
             # queue slot — folding it twice would fabricate duplicates.
-            queue = self.queues.setdefault(event.group, [])
-            if event.member not in queue:
-                queue.append(event.member)
+            queued = self._queued.setdefault(event.group, set())
+            if event.member not in queued:
+                queued.add(event.member)
+                self.queues.setdefault(event.group, []).append(event.member)
         elif kind is EventKind.TOKEN_PASS:
             payload = event.payload()
             successor = (
@@ -129,9 +141,12 @@ class TranscriptState:
         return True
 
     def _unqueue(self, group: str, member: str) -> None:
-        queue = self.queues.get(group)
-        while queue and member in queue:
-            queue.remove(member)
+        queued = self._queued.get(group)
+        if queued is not None and member in queued:
+            queued.remove(member)
+            queue = self.queues[group]
+            while member in queue:
+                queue.remove(member)
 
 
 def _check_holder_is_member(state: TranscriptState) -> str | None:
@@ -145,10 +160,11 @@ def _check_holder_is_member(state: TranscriptState) -> str | None:
 
 def _check_queue_consistent(state: TranscriptState) -> str | None:
     for group, queue in sorted(state.queues.items()):
-        if len(queue) != len(set(queue)):
+        queued = state._queued[group]
+        if len(queue) != len(queued):
             return f"channel {group!r} queue has duplicates: {queue}"
         holder = state.holders.get(group)
-        if holder is not None and holder in queue:
+        if holder is not None and holder in queued:
             return f"channel {group!r}: holder {holder!r} is also queued"
     return None
 

@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NoReturn
 
 from ..errors import TranscriptError
 from .types import FloorEvent
@@ -43,6 +43,21 @@ __all__ = [
 SCHEMA = "repro-dmps/transcript"
 #: Bump on any incompatible change to the line layout.
 SCHEMA_VERSION = 1
+
+
+def _refuse_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a JSON value")
+
+
+#: The canonical encoder, built once: ``json.dumps`` builds a new one
+#: on every call that passes options.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+#: The line decoder.  ``json.loads`` accepts the non-standard tokens
+#: ``NaN``, ``Infinity`` and ``-Infinity``; a transcript never holds
+#: them, because :func:`canonical_json` refuses to write them.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 @dataclass(frozen=True)
@@ -69,9 +84,7 @@ def canonical_json(value: Any) -> str:
         On NaN or an infinity, which have no JSON spelling.
     """
     try:
-        return json.dumps(
-            value, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        return _ENCODER.encode(value)
     except ValueError as exc:
         raise TranscriptError(f"not encodable as JSON: {exc}") from None
 
@@ -115,8 +128,10 @@ def load_transcript(path: str | Path) -> TranscriptDocument:
     ------
     TranscriptError
         When the file is missing, is not a transcript document, its
-        schema version is newer than this code understands, or an
-        event line fails to parse (the message names the line).
+        schema version is not an integer or is newer than this code
+        understands, or a line is not strict JSON (``NaN`` and
+        ``Infinity`` are refused) or not a valid event record (the
+        message names the line).
     """
     source = Path(path)
     try:
@@ -130,7 +145,12 @@ def load_transcript(path: str | Path) -> TranscriptDocument:
     if not isinstance(header, dict) or header.get("schema") != SCHEMA:
         raise TranscriptError(f"{source}: not a {SCHEMA!r} document")
     version = header.get("schema_version")
-    if not isinstance(version, int) or version > SCHEMA_VERSION:
+    # ``type``, not ``isinstance``: ``True`` is an ``int`` too.
+    if type(version) is not int:
+        raise TranscriptError(
+            f"{source}: schema version {version!r} is not an integer"
+        )
+    if version > SCHEMA_VERSION:
         raise TranscriptError(
             f"{source}: schema version {version!r} is newer than the "
             f"supported {SCHEMA_VERSION}"
@@ -156,8 +176,14 @@ def load_transcript(path: str | Path) -> TranscriptDocument:
 
 def _parse_line(source: Path, number: int, line: str) -> Any:
     try:
-        return json.loads(line)
-    except json.JSONDecodeError as error:
+        return _DECODER.decode(line)
+    except ValueError as error:
+        if line.startswith("\ufeff"):
+            # ``json.loads`` names a byte-order mark before decoding;
+            # ``decode`` would only report the value it expected.
+            error = json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+            )
         raise TranscriptError(
             f"{source}:{number}: not valid JSON ({error})"
         ) from None

@@ -18,10 +18,12 @@ same typed surface.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any
 
 from ..errors import EventBusError
 
@@ -56,6 +58,11 @@ class EventKind(Enum):
     MODE_CHANGE = "mode_change"
     DISCONNECT = "disconnect"
     RECONNECT = "reconnect"
+
+
+#: ``EventKind`` by its string value: a plain dict lookup where
+#: ``EventKind(value)`` goes through ``Enum.__call__``.
+_KINDS_BY_VALUE = {kind.value: kind for kind in EventKind}
 
 
 @dataclass(frozen=True)
@@ -178,38 +185,54 @@ class FloorEvent:
         Raises
         ------
         EventBusError
-            On a malformed record (missing fields, unknown kind, or a
-            non-mapping ``data`` block).
+            On a malformed record (missing fields, unknown kind, a
+            non-mapping ``data`` block, or a time that is not a finite
+            number).
         """
         if not isinstance(record, Mapping):
             raise EventBusError(f"event record must be a mapping, got {record!r}")
-        missing = [key for key in ("time", "kind", "member", "group") if key not in record]
-        if missing:
-            raise EventBusError(f"event record is missing fields {missing!r}")
         try:
-            kind = EventKind(record["kind"])
-        except ValueError:
+            time = record["time"]
+            value = record["kind"]
+            member = record["member"]
+            group = record["group"]
+        except KeyError:
+            missing = [
+                key for key in ("time", "kind", "member", "group")
+                if key not in record
+            ]
             raise EventBusError(
-                f"unknown event kind {record['kind']!r}"
+                f"event record is missing fields {missing!r}"
             ) from None
+        try:
+            kind = _KINDS_BY_VALUE[value]
+        except (KeyError, TypeError):
+            # Members and unhashable values take Enum's own lookup.
+            try:
+                kind = EventKind(value)
+            except ValueError:
+                raise EventBusError(f"unknown event kind {value!r}") from None
         data = record.get("data")
         if data is not None and not isinstance(data, Mapping):
             raise EventBusError(
                 f"event data must be a mapping, got {data!r}"
             )
-        try:
-            time = float(record["time"])
-        except (TypeError, ValueError):
-            raise EventBusError(
-                f"event time must be numeric, got {record['time']!r}"
-            ) from None
+        if type(time) is not float:
+            try:
+                time = float(time)
+            except (TypeError, ValueError):
+                raise EventBusError(
+                    f"event time must be numeric, got {time!r}"
+                ) from None
+        if not isfinite(time):
+            raise EventBusError(f"event time must be finite, got {time!r}")
         return cls(
-            time=time,
-            kind=kind,
-            member=str(record["member"]),
-            group=str(record["group"]),
-            detail=str(record.get("detail", "")),
-            data=data,
+            time,
+            kind,
+            str(member),
+            str(group),
+            str(record.get("detail", "")),
+            data,
         )
 
 

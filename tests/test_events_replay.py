@@ -2,8 +2,10 @@
 CLI verb."""
 
 import json
+from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Scenario, Session, at
 from repro.cli import main
@@ -12,6 +14,9 @@ from repro.errors import TranscriptError
 from repro.events import (
     EventBus,
     EventKind,
+    FloorEvent,
+    TokenPassPayload,
+    TranscriptState,
     build_meta,
     check_transcript,
     load_transcript,
@@ -20,6 +25,7 @@ from repro.events import (
     transcript_check_names,
     transcript_metrics,
 )
+from repro.events.replay import _TRANSCRIPT_CHECKS
 
 
 def session_transcript(tmp_path, name="t.jsonl", checks=True):
@@ -138,6 +144,176 @@ class TestTranscriptChecks:
 
     def test_check_names_sorted(self):
         assert transcript_check_names() == sorted(transcript_check_names())
+
+    def test_duplicates_passed_in_are_still_reported(self):
+        state = TranscriptState(queues={"g": ["a", "a"]})
+        check = _TRANSCRIPT_CHECKS["queue_consistent"]
+        assert check(state) == "channel 'g' queue has duplicates: ['a', 'a']"
+        state.apply(FloorEvent(1.0, EventKind.GRANT, "a", "g"))
+        assert state.queues == {"g": []}
+        assert check(state) is None
+
+
+_FOLDED = (
+    EventKind.JOIN, EventKind.LEAVE, EventKind.GRANT, EventKind.QUEUE,
+    EventKind.TOKEN_PASS, EventKind.MODE_CHANGE,
+)
+
+
+@dataclass
+class ReferenceState:
+    """``TranscriptState`` before the per-group member sets, whose
+    queue checks scan each queue: kept as the oracle."""
+
+    members: set = field(default_factory=set)
+    holders: dict = field(default_factory=dict)
+    queues: dict = field(default_factory=dict)
+    modes: dict = field(default_factory=dict)
+
+    def apply(self, event):
+        kind = event.kind
+        if kind not in _FOLDED:
+            return False
+        if kind is EventKind.JOIN:
+            self.members.add(event.member)
+        elif kind is EventKind.LEAVE:
+            self.members.discard(event.member)
+            for queue in self.queues.values():
+                while event.member in queue:
+                    queue.remove(event.member)
+        elif kind is EventKind.GRANT:
+            self.holders[event.group] = event.member
+            self._unqueue(event.group, event.member)
+        elif kind is EventKind.QUEUE:
+            queue = self.queues.setdefault(event.group, [])
+            if event.member not in queue:
+                queue.append(event.member)
+        elif kind is EventKind.TOKEN_PASS:
+            payload = event.payload()
+            successor = (
+                payload.to_member
+                if isinstance(payload, TokenPassPayload)
+                else None
+            )
+            self.holders[event.group] = successor
+            if successor is not None:
+                self._unqueue(event.group, successor)
+        elif kind is EventKind.MODE_CHANGE:
+            mode = event.payload().to_mode
+            if mode is not None:
+                self.modes[event.group] = mode
+        return True
+
+    def _unqueue(self, group, member):
+        queue = self.queues.get(group)
+        while queue and member in queue:
+            queue.remove(member)
+
+
+def reference_holder_is_member(state):
+    for group, holder in sorted(state.holders.items()):
+        if holder is not None and holder not in state.members:
+            return (
+                f"channel {group!r}: holder {holder!r} is not a joined member"
+            )
+    return None
+
+
+def reference_queue_consistent(state):
+    for group, queue in sorted(state.queues.items()):
+        if len(queue) != len(set(queue)):
+            return f"channel {group!r} queue has duplicates: {queue}"
+        holder = state.holders.get(group)
+        if holder is not None and holder in queue:
+            return f"channel {group!r}: holder {holder!r} is also queued"
+    return None
+
+
+REFERENCE_CHECKS = {
+    "holder_is_member": reference_holder_is_member,
+    "queue_consistent": reference_queue_consistent,
+}
+
+
+def reference_check_transcript(events):
+    """``check_transcript``'s episode loop over the reference state."""
+    state = ReferenceState()
+    active = {}
+    violations = []
+    for event in events:
+        if not state.apply(event):
+            continue
+        for name in sorted(REFERENCE_CHECKS):
+            detail = REFERENCE_CHECKS[name](state)
+            if detail is None:
+                active.pop(name, None)
+            elif active.get(name) != detail:
+                active[name] = detail
+                violations.append([event.time, name, detail])
+    return violations
+
+
+_members = st.sampled_from(["a", "b", "c", "d", "e"])
+_groups = st.sampled_from(["g", "h", "session"])
+
+
+@st.composite
+def _stream_events(draw):
+    kind = draw(st.sampled_from(list(_FOLDED) + [EventKind.REQUEST]))
+    member, group = draw(_members), draw(_groups)
+    detail, data = "", None
+    if kind is EventKind.TOKEN_PASS:
+        target = draw(st.sampled_from(["member", "ghost", "none", "detail", "bare"]))
+        if target == "member":
+            data = {"to": draw(_members)}
+        elif target == "ghost":
+            data = {"to": "ghost"}
+        elif target == "none":
+            data = {"to": None}
+        elif target == "detail":
+            detail = draw(_members)
+    elif kind is EventKind.MODE_CHANGE:
+        data = draw(st.sampled_from([None, {"to": "free_access"}, {"from": "x"}]))
+    elif kind is EventKind.GRANT:
+        member = draw(st.sampled_from(["a", "b", "c", "d", "e", "ghost"]))
+    return kind, member, group, detail, data
+
+
+def _stream(specs):
+    return [
+        FloorEvent(float(step), kind, member, group, detail, data)
+        for step, (kind, member, group, detail, data) in enumerate(specs)
+    ]
+
+
+class TestChecksMatchReference:
+    """The per-group member sets change the cost of the queue checks,
+    never a verdict: re-queues, leaves mid-queue, and token passes to
+    a member, a ghost or nobody fold exactly as with a queue scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(specs=st.lists(_stream_events(), max_size=80))
+    def test_violation_lists_are_identical(self, specs):
+        events = _stream(specs)
+        assert [
+            v.as_record() for v in check_transcript(events)
+        ] == reference_check_transcript(events)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        queues=st.dictionaries(_groups, st.lists(_members, max_size=4), max_size=2),
+        specs=st.lists(_stream_events(), max_size=40),
+    )
+    def test_state_and_checks_follow_passed_in_queues(self, queues, specs):
+        state = TranscriptState(queues={g: list(q) for g, q in queues.items()})
+        reference = ReferenceState(queues={g: list(q) for g, q in queues.items()})
+        for event in [None, *_stream(specs)]:
+            if event is not None:
+                assert state.apply(event) == reference.apply(event)
+            assert state.queues == reference.queues
+            assert state.holders == reference.holders
+            for name, check in _TRANSCRIPT_CHECKS.items():
+                assert check(state) == REFERENCE_CHECKS[name](reference)
 
 
 class TestReplay:

@@ -1,6 +1,7 @@
 """Tests for JSONL transcript persistence."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.events import (
     SCHEMA_VERSION,
     EventBus,
     EventKind,
+    FloorEvent,
     dumps_transcript,
     load_transcript,
     save_transcript,
@@ -123,6 +125,180 @@ class TestValidation:
         path = seeded_bus().save(tmp_path / "t.jsonl")
         path.write_text(path.read_text() + "\n\n")
         assert len(load_transcript(path)) == 4
+
+    @pytest.mark.parametrize("version", [True, "1", 1.0, None, [1]])
+    def test_non_integer_schema_version_rejected(self, tmp_path, version):
+        target = tmp_path / "odd.jsonl"
+        target.write_text(json.dumps(
+            {"schema": SCHEMA, "schema_version": version, "meta": {}}
+        ) + "\n")
+        with pytest.raises(TranscriptError) as raised:
+            load_transcript(target)
+        assert str(raised.value) == (
+            f"{target}: schema version {version!r} is not an integer"
+        )
+
+    def test_non_finite_tokens_are_refused_naming_the_line(self, tmp_path):
+        target = tmp_path / "t.jsonl"
+        target.write_text("\n".join([
+            HEADER,
+            event_line(time="0.0"),
+            event_line(time="NaN"),
+            event_line(time="Infinity"),
+        ]) + "\n")
+        with pytest.raises(TranscriptError) as raised:
+            load_transcript(target)
+        assert str(raised.value) == (
+            f"{target}:3: not valid JSON (NaN is not a JSON value)"
+        )
+
+    def test_non_finite_token_in_the_header_is_refused(self, tmp_path):
+        target = tmp_path / "t.jsonl"
+        target.write_text(HEADER.replace('"meta":{}', '"meta":{"x":-Infinity}') + "\n")
+        with pytest.raises(TranscriptError) as raised:
+            load_transcript(target)
+        assert str(raised.value) == (
+            f"{target}:1: not valid JSON (-Infinity is not a JSON value)"
+        )
+
+    @pytest.mark.parametrize(
+        ("time", "shown"), [('"nan"', "nan"), ("1e999", "inf"), ('"-inf"', "-inf")]
+    )
+    def test_non_finite_time_spelled_otherwise_is_refused(
+        self, tmp_path, time, shown
+    ):
+        target = tmp_path / "t.jsonl"
+        target.write_text(HEADER + "\n" + event_line(time=time) + "\n")
+        with pytest.raises(TranscriptError) as raised:
+            load_transcript(target)
+        assert str(raised.value) == (
+            f"{target}:2: bad event record "
+            f"(event time must be finite, got {shown})"
+        )
+
+    def test_integer_past_the_digit_limit_is_a_transcript_error(self, tmp_path):
+        # json raises a plain ValueError here, not a JSONDecodeError.
+        target = tmp_path / "t.jsonl"
+        target.write_text(HEADER + "\n" + event_line(time="9" * 5000) + "\n")
+        with pytest.raises(TranscriptError, match=r":2: not valid JSON \(Exceeds"):
+            load_transcript(target)
+
+
+HEADER = '{"meta":{},"schema":"repro-dmps/transcript","schema_version":1}'
+
+
+def event_line(time="1.0", detail='""'):
+    return (
+        f'{{"detail":{detail},"group":"g","kind":"join","member":"a",'
+        f'"time":{time}}}'
+    )
+
+
+def reference_parse_line(source, number, line):
+    """The loader's line decode before the strict decoder: per-line
+    ``json.loads``, kept as the oracle."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as error:
+        raise TranscriptError(
+            f"{source}:{number}: not valid JSON ({error})"
+        ) from None
+
+
+def reference_load_transcript(path):
+    """``load_transcript`` before the strict decoder, kept as the oracle
+    the loader must match on everything but non-finite tokens."""
+    source = Path(path)
+    lines = source.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise TranscriptError(f"{source}: empty file, not a transcript")
+    header = reference_parse_line(source, 1, lines[0])
+    if not isinstance(header, dict) or header.get("schema") != SCHEMA:
+        raise TranscriptError(f"{source}: not a {SCHEMA!r} document")
+    version = header.get("schema_version")
+    if not isinstance(version, int) or version > SCHEMA_VERSION:
+        raise TranscriptError(
+            f"{source}: schema version {version!r} is newer than the "
+            f"supported {SCHEMA_VERSION}"
+        )
+    meta = header.get("meta") or {}
+    if not isinstance(meta, dict):
+        raise TranscriptError(f"{source}: header meta must be an object")
+    events = []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        record = reference_parse_line(source, number, line)
+        try:
+            events.append(FloorEvent.from_dict(record))
+        except TranscriptError:
+            raise
+        except Exception as error:
+            raise TranscriptError(
+                f"{source}:{number}: bad event record ({error})"
+            ) from None
+    return meta, tuple(events)
+
+
+def load_outcome(load, path):
+    try:
+        document = load(path)
+    except Exception as error:
+        return type(error), str(error)
+    if isinstance(document, tuple):
+        return document
+    return document.meta, document.events
+
+
+#: Lines ``json.loads`` treats in telling ways: each must load, or fail
+#: with the same message, as under per-line ``json.loads``.
+LOADER_CORPUS = {
+    "leading whitespace": ["  " + event_line()],
+    "trailing whitespace": [event_line() + " \t"],
+    "blank line": ["   ", event_line()],
+    # As one array, "[" + ",".join(lines) + "]", these three decode to
+    # three records; each fails on its own, so lines are decoded singly.
+    "lines that only decode joined": ["1,2", '{"d":[{}', "{}]}"],
+    "unterminated string": ['{"time": "1.0'],
+    "raw tab in a string": [event_line(detail='"a\tb"')],
+    "bad escape": [event_line(detail='"\\x41"')],
+    "array": ["[1, 2]"],
+    "null": ["null"],
+    "duplicate keys": [event_line(time="1.0, \"time\": 2.0")],
+    "byte-order mark": ["\ufeff" + event_line()],
+    "extra data": [event_line() + " {}"],
+}
+
+
+class TestLoaderMatchesPerLineJsonLoads:
+    @pytest.mark.parametrize("case", sorted(LOADER_CORPUS))
+    @pytest.mark.parametrize("where", ["events", "header"])
+    def test_corpus(self, tmp_path, case, where):
+        body = LOADER_CORPUS[case]
+        lines = [HEADER, *body] if where == "events" else [*body, event_line()]
+        target = tmp_path / "t.jsonl"
+        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load_outcome(load_transcript, target) == load_outcome(
+            reference_load_transcript, target
+        )
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("where", ["events", "header"])
+    def test_non_finite_tokens_are_the_one_difference(
+        self, tmp_path, token, where
+    ):
+        target = tmp_path / "t.jsonl"
+        if where == "events":
+            text, number = HEADER + "\n" + event_line(time=token), 2
+        else:
+            text, number = HEADER.replace("{}", f'{{"x":{token}}}'), 1
+        target.write_text(text + "\n", encoding="utf-8")
+        for line in text.splitlines():
+            json.loads(line)  # which accepts the token
+        assert load_outcome(load_transcript, target) == (
+            TranscriptError,
+            f"{target}:{number}: not valid JSON ({token} is not a JSON value)",
+        )
 
 
 class TestFilename:

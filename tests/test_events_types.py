@@ -1,6 +1,11 @@
 """Tests for typed event payloads and event serialization."""
 
+import math
+import typing
+from types import MappingProxyType
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import EventBusError
 from repro.events import (
@@ -134,3 +139,128 @@ class TestFloorEventRecord:
     def test_from_dict_rejects_non_mapping(self):
         with pytest.raises(EventBusError, match="must be a mapping"):
             FloorEvent.from_dict([1.0, "join"])
+
+    @pytest.mark.parametrize(
+        "time", [float("nan"), float("inf"), float("-inf"), "nan", "-Infinity"]
+    )
+    def test_from_dict_rejects_non_finite_time(self, time):
+        expected = repr(float(time))
+        with pytest.raises(EventBusError) as raised:
+            FloorEvent.from_dict(
+                {"time": time, "kind": "join", "member": "a", "group": "g"}
+            )
+        assert str(raised.value) == f"event time must be finite, got {expected}"
+
+
+def reference_from_dict(record):
+    """``FloorEvent.from_dict`` as it was before the single-body
+    rewrite, kept as the oracle the rewrite must match."""
+    if not isinstance(record, typing.Mapping):
+        raise EventBusError(f"event record must be a mapping, got {record!r}")
+    missing = [key for key in ("time", "kind", "member", "group") if key not in record]
+    if missing:
+        raise EventBusError(f"event record is missing fields {missing!r}")
+    try:
+        kind = EventKind(record["kind"])
+    except ValueError:
+        raise EventBusError(
+            f"unknown event kind {record['kind']!r}"
+        ) from None
+    data = record.get("data")
+    if data is not None and not isinstance(data, typing.Mapping):
+        raise EventBusError(
+            f"event data must be a mapping, got {data!r}"
+        )
+    try:
+        time = float(record["time"])
+    except (TypeError, ValueError):
+        raise EventBusError(
+            f"event time must be numeric, got {record['time']!r}"
+        ) from None
+    return FloorEvent(
+        time=time,
+        kind=kind,
+        member=str(record["member"]),
+        group=str(record["group"]),
+        detail=str(record.get("detail", "")),
+        data=data,
+    )
+
+
+def outcome(build, record):
+    """What ``build(record)`` gives: an event, or the error it raised."""
+    try:
+        return build(record)
+    except Exception as error:
+        return type(error), str(error)
+
+
+_kinds = st.one_of(
+    st.sampled_from([kind.value for kind in EventKind]),
+    st.sampled_from(list(EventKind)),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=2),
+    st.none(),
+    st.integers(),
+)
+_times = st.one_of(
+    st.floats(),
+    st.integers(min_value=-(10**9), max_value=10**9),
+    st.just(10**400),
+    st.booleans(),
+    st.floats().map(repr),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(["soon", "", " 2.5 ", "1e999", "-inf", "nan", "0x10"]),
+    st.none(),
+    st.lists(st.integers(), max_size=1),
+)
+_scalars = st.one_of(
+    st.text(max_size=6), st.integers(), st.none(), st.booleans(),
+    st.floats(allow_nan=False),
+)
+_mappings = st.dictionaries(st.text(max_size=4), _scalars, max_size=3)
+_data = st.one_of(
+    st.none(),
+    _mappings,
+    _mappings.map(MappingProxyType),
+    st.lists(st.integers(), max_size=2),
+    st.text(max_size=4),
+)
+_fields = {
+    "time": _times,
+    "kind": _kinds,
+    "member": _scalars,
+    "group": _scalars,
+}
+_optional = {"detail": _scalars, "data": _data}
+_records = st.one_of(
+    st.fixed_dictionaries(_fields, optional=_optional),
+    st.fixed_dictionaries({}, optional={**_fields, **_optional}),
+)
+_inputs = st.one_of(
+    _records,
+    _records.map(MappingProxyType),
+    st.lists(st.integers(), max_size=2),
+    st.none(),
+    st.text(max_size=4),
+)
+
+
+class TestFromDictMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(record=_inputs)
+    def test_same_event_or_same_error(self, record):
+        expected = outcome(reference_from_dict, record)
+        actual = outcome(FloorEvent.from_dict, record)
+        if isinstance(expected, FloorEvent) and not math.isfinite(expected.time):
+            # The one intended difference: non-finite times are refused.
+            expected = (
+                EventBusError,
+                f"event time must be finite, got {expected.time!r}",
+            )
+        assert actual == expected
+        if isinstance(actual, FloorEvent):
+            assert type(actual.time) is float
+            assert repr(actual.time) == repr(expected.time)
+            assert actual.kind is expected.kind
+            assert type(actual.data) is type(expected.data)

@@ -157,3 +157,13 @@ class TestEventRoundTrip:
     def test_event_from_frame_rejects_bad_record(self):
         with pytest.raises(WireError, match="bad event record"):
             event_from_frame({"type": "event", "event": {"kind": "nope"}})
+
+    @pytest.mark.parametrize("time", ["NaN", "Infinity", "1e999", '"nan"'])
+    def test_event_from_frame_rejects_non_finite_time(self, time):
+        # decode_frame accepts the NaN/Infinity tokens; the record does not.
+        frame = decode_frame(
+            b'{"event":{"group":"g","kind":"join","member":"a","time":'
+            + time.encode() + b'},"type":"event"}\n'
+        )
+        with pytest.raises(WireError, match="event time must be finite"):
+            event_from_frame(frame)
