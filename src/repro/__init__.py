@@ -10,7 +10,7 @@ The package provides:
   contribution): four modes, the FCM-Arbitrate and Media-Suspend
   algorithms, groups/invitations, the server-side manager;
 * :mod:`repro.check` — the verification subsystem: property specs
-  (mutex/bounds/invariants), the byte-interning explicit-state engine,
+  (mutex/bounds/invariants), the explicit-state engine,
   induction-backed proofs (place invariants + state equation), and
   live session monitors;
 * :mod:`repro.events` — the typed event bus: structured payloads per

@@ -9,8 +9,9 @@ schedule checking into a real subsystem:
   ``PlaceBound``, ``Invariant``, ``EventuallyFires``,
   ``DeadlockFree`` — serializable values checkable against any
   :class:`~repro.petri.net.PetriNet`;
-* :mod:`repro.check.explicit` — a byte-interning explicit-state engine
-  with on-the-fly evaluation and replayable counterexample traces;
+* :mod:`repro.check.explicit` — an explicit-state engine checking
+  properties on the fly as a ``stop`` callback on the compiled
+  explorer, with replayable counterexample traces;
 * :mod:`repro.check.induct` — inductive proofs in exact ``Fraction``
   arithmetic (place invariants + the state-equation k-induction base),
   falling back to bounded explicit search; verdicts are

@@ -1,16 +1,14 @@
 """Explicit-state model checking with counterexample traces.
 
-Property checking built on the compiled explorer of
-:mod:`repro.petri.analysis`: the same
-:class:`~repro.petri.analysis.CompiledNet` index arrays, the same
-breadth-first discovery order and the same
-:class:`~repro.petri.analysis.Exploration` output (states interned
-here as :class:`~repro.petri.analysis.MarkingCodec` byte encodings).
-This module adds evaluating properties on the fly as each state is
-discovered: a violation surfaces with a replayable firing trace
-without materialising the whole graph, and the search stops once
-every property is decided.  :meth:`ExplicitEngine.explore` is the
-plain exploration, :func:`repro.petri.analysis.explore`.
+Property checking is a ``stop`` callback on the one explorer of
+:mod:`repro.petri.analysis`, :func:`~repro.petri.analysis.explore`.
+Before each expansion the callback evaluates the properties on what
+the search gained since its last call: safety on every newly found
+state, deadlock, firings and over-budget successors on the state just
+expanded.  A violation surfaces with a replayable firing trace without
+materialising the whole graph, and the search stops once every
+property is decided.  :meth:`ExplicitEngine.explore` is the plain
+exploration.
 
 Verdicts are never silently truncated: a safety property unviolated
 within an *incomplete* exploration is ``UNKNOWN``, only a complete
@@ -19,7 +17,7 @@ sweep upgrades it to ``PROVED``.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -110,7 +108,7 @@ class ExplicitEngine:
         """Enumerate up to ``max_states`` reachable markings.
 
         Pure exploration (no properties) — the raw-throughput path the
-        E13 benchmark measures against the legacy analyser.
+        E13 benchmark measures against its dict-BFS baseline.
         """
         return explore(self.compiled, self.max_states)
 
@@ -122,50 +120,29 @@ class ExplicitEngine:
         state budget runs out, so one sweep serves the whole batch.
         """
         props = tuple(properties)
-        compiled_net = self.compiled.net
-        for prop in props:
-            prop.validate_against(compiled_net)
-        exploration, verdicts = self._run(props)
-        return CheckReport(
-            net_name=compiled_net.name,
-            verdicts=verdicts,
-            explored=len(exploration),
-            complete=exploration.complete,
-        )
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _run(
-        self, props: tuple[Property, ...]
-    ) -> tuple[Exploration, tuple[PropertyVerdict, ...]]:
         compiled = self.compiled
+        for prop in props:
+            prop.validate_against(compiled.net)
         codec = compiled.codec
-        encode = codec.encode
-        transition_count = len(compiled.transitions)
-        exploration = Exploration(
-            codec=codec, transitions=compiled.transitions, compiled=compiled
-        )
-        states = exploration.states
-        succ = exploration.succ
-        parent = exploration.parent
-
-        # Property bookkeeping.  Linear safety properties get compiled
-        # coefficient lists (index, coeff) so the per-state test is a
-        # sparse dot product, not a dict lookup by name.
+        transitions = compiled.transitions
+        max_states = self.max_states
+        verdicts: list[PropertyVerdict | None] = [None] * len(props)
+        # The undecided safety properties (``violate`` drops decided
+        # ones).  Linear ones get compiled coefficient lists
+        # (index, coeff) so the per-state test is a sparse dot product,
+        # not a dict lookup by name.
         safety: list[tuple[int, Property, list[tuple[int, int]] | None, int]] = []
-        deadlock_props: list[int] = []
+        deadlock_slots: list[int] = []
         # transition index -> every property slot awaiting that firing
         # (a list: duplicate EventuallyFires must all get the verdict)
         eventually: dict[int, list[int]] = {}
-        verdicts: list[PropertyVerdict | None] = [None] * len(props)
         for slot, prop in enumerate(props):
             if isinstance(prop, EventuallyFires):
                 eventually.setdefault(
-                    compiled.transitions.index(prop.transition), []
+                    transitions.index(prop.transition), []
                 ).append(slot)
             elif isinstance(prop, DeadlockFree):
-                deadlock_props.append(slot)
+                deadlock_slots.append(slot)
             else:
                 linear = prop.linear_bound()
                 if linear is not None:
@@ -177,14 +154,14 @@ class ExplicitEngine:
                     safety.append((slot, prop, sparse, bound))
                 else:
                     safety.append((slot, prop, None, 0))
+        undecided = len(props)
+        found = 0  # states already checked for safety
 
         def violated(state: Sequence[int]) -> list[int]:
             slots = []
             marking = None  # built once per state, only if some
             # non-linear property still needs a dict view
             for slot, prop, sparse, bound in safety:
-                if verdicts[slot] is not None:
-                    continue
                 if sparse is not None:
                     total = 0
                     for index, coeff in sparse:
@@ -198,135 +175,98 @@ class ExplicitEngine:
                         slots.append(slot)
             return slots
 
-        def undecided_remaining() -> bool:
-            return any(verdict is None for verdict in verdicts)
-
-        initial = compiled.initial_counts()
-        index_of: dict[bytes, int] = {encode(initial): 0}
-        states.append(initial)
-        succ.append([])
-        parent.append((-1, -1))
-
-        def record_violation_slots(
-            slots: list[int], trace: tuple[str, ...], marking: Marking
-        ) -> None:
-            start = exploration.marking_of(0)
-            for slot in slots:
-                verdicts[slot] = PropertyVerdict(
-                    prop=props[slot],
-                    verdict=Verdict.VIOLATED,
-                    method="explicit",
-                    counterexample=Counterexample(
-                        trace=trace, marking=marking, start=start
-                    ),
-                    states=len(states),
-                )
-
-        def record_violations(state_index: int, slots: list[int]) -> None:
-            if not slots:
-                return  # trace reconstruction is O(depth); skip it
-            record_violation_slots(
-                slots,
-                exploration.trace_to(state_index),
-                exploration.marking_of(state_index),
+        def decide(slot: int, verdict: Verdict, states: int, **evidence) -> None:
+            nonlocal undecided
+            verdicts[slot] = PropertyVerdict(
+                prop=props[slot],
+                verdict=verdict,
+                method="explicit",
+                states=states,
+                **evidence,
             )
+            undecided -= 1
 
-        if safety:
-            record_violations(0, violated(initial))
-        # The BFS below is the hot loop: transition data and containers
-        # are bound to locals, and enabledness/firing are inlined
-        # rather than routed through CompiledNet's methods, as in
-        # repro.petri.analysis.explore, whose node order it keeps.
-        pre_lists = compiled.pre
-        delta_lists = compiled.delta
-        capacity_lists = compiled.capacity_checks
-        max_states = self.max_states
-        index_get = index_of.get
-        watch_props = bool(props)
-        watch_safety = bool(safety)
-        watch_eventually = bool(eventually)
-        queue: deque[int] = deque([0])
-        queue_pop = queue.popleft
-        queue_push = queue.append
-        while queue:
-            if watch_props and not undecided_remaining():
-                # Every property is decided; stop burning budget.  The
-                # exploration is marked incomplete because states may
-                # remain — callers must not read it as exhaustive.
-                exploration.complete = False
-                break
-            current_index = queue_pop()
-            current = states[current_index]
-            out = succ[current_index]
-            any_enabled = False
-            for transition_index in range(transition_count):
-                enabled = True
-                for index, required in pre_lists[transition_index]:
-                    if current[index] < required:
-                        enabled = False
-                        break
-                if not enabled:
-                    continue
-                for index, inflow, capacity in capacity_lists[transition_index]:
-                    if current[index] + inflow > capacity:
-                        enabled = False
-                        break
-                if not enabled:
-                    continue
-                any_enabled = True
-                if watch_eventually:
-                    # The firing itself is the witness — record it even
-                    # when the successor will not fit the state budget.
-                    for slot in eventually.get(transition_index, ()):
-                        if verdicts[slot] is None:
-                            verdicts[slot] = PropertyVerdict(
-                                prop=props[slot],
-                                verdict=Verdict.PROVED,
-                                method="explicit",
-                                witness=exploration.trace_to(current_index)
-                                + (compiled.transitions[transition_index],),
-                                states=len(states),
-                            )
-                successor = list(current)
-                for index, change in delta_lists[transition_index]:
-                    successor[index] += change
-                key = encode(successor)
-                target = index_get(key)
-                if target is None:
-                    if len(states) >= max_states:
-                        exploration.complete = False
-                        if watch_safety:
-                            # The violating marking is already in hand;
-                            # an over-budget successor must yield its
-                            # VIOLATED verdict, not an UNKNOWN.
-                            slots = violated(successor)
-                            if slots:
-                                record_violation_slots(
-                                    slots,
-                                    exploration.trace_to(current_index)
-                                    + (compiled.transitions[transition_index],),
-                                    codec.marking(successor),
-                                )
+        def violate(
+            exploration: Exploration,
+            slots: list[int],
+            trace: tuple[str, ...],
+            marking: Marking,
+            states: int,
+        ) -> None:
+            counterexample = Counterexample(
+                trace=trace, marking=marking, start=exploration.marking_of(0)
+            )
+            for slot in slots:
+                decide(slot, Verdict.VIOLATED, states, counterexample=counterexample)
+            safety[:] = [entry for entry in safety if verdicts[entry[0]] is None]
+
+        def settle(exploration: Exploration, index: int) -> None:
+            # State ``index`` has just been expanded.  Deadlock means no
+            # transition *enabled*, not "no edge recorded": budget
+            # pressure can hide edges to un-interned states.
+            current = exploration.states[index]
+            out = exploration.succ[index]
+            if deadlock_slots and not out and not any(
+                compiled.enabled(current, t) for t in range(len(transitions))
+            ):
+                violate(
+                    exploration,
+                    list(deadlock_slots),
+                    exploration.trace_to(index),
+                    exploration.marking_of(index),
+                    len(exploration.states),
+                )
+                deadlock_slots.clear()
+            # The firing itself is the witness, even when its successor
+            # did not fit the budget.  Parent edges strictly increase in
+            # (source, transition), so the bisect counts the markings
+            # known when ``t`` fired from ``index``.
+            for t in [t for t in eventually if compiled.enabled(current, t)]:
+                witness = exploration.trace_to(index) + (transitions[t],)
+                states = bisect_left(exploration.parent, (index, t))
+                for slot in eventually.pop(t):
+                    decide(slot, Verdict.PROVED, states, witness=witness)
+            # Once the budget is full, the enabled transitions missing
+            # from ``out`` are the firings that did not fit.  Their
+            # successors are in hand: a violation there is VIOLATED,
+            # not UNKNOWN.
+            if safety and len(exploration.states) >= max_states:
+                fired = {t for t, __ in out}
+                for t in range(len(transitions)):
+                    if t in fired or not compiled.enabled(current, t):
                         continue
-                    target = len(states)
-                    index_of[key] = target
-                    states.append(tuple(successor))
-                    succ.append([])
-                    parent.append((current_index, transition_index))
-                    queue_push(target)
-                    if watch_safety:
-                        record_violations(target, violated(successor))
-                out.append((transition_index, target))
-            # Deadlock = no transition *enabled*, not "no edge recorded":
-            # budget pressure can suppress edges to un-interned states.
-            if not any_enabled and deadlock_props:
-                slots = [
-                    slot for slot in deadlock_props if verdicts[slot] is None
-                ]
-                if slots:
-                    record_violations(current_index, slots)
+                    successor = compiled.fire(current, t)
+                    slots = violated(successor)
+                    if slots:
+                        violate(
+                            exploration,
+                            slots,
+                            exploration.trace_to(index) + (transitions[t],),
+                            codec.marking(successor),
+                            len(exploration.states),
+                        )
 
-        explored = len(states)
+        def stop(exploration: Exploration, index: int) -> bool:
+            nonlocal found
+            states = exploration.states
+            if safety:
+                for j in range(found, len(states)):
+                    slots = violated(states[j])
+                    if slots:  # trace reconstruction is O(depth)
+                        violate(
+                            exploration,
+                            slots,
+                            exploration.trace_to(j),
+                            exploration.marking_of(j),
+                            j + 1,
+                        )
+            found = len(states)
+            if index:
+                settle(exploration, index - 1)
+            return not undecided
+
+        exploration = explore(compiled, max_states, stop if props else None)
+        explored = len(exploration)
         complete = exploration.complete
         for slot, prop in enumerate(props):
             if verdicts[slot] is not None:
@@ -342,25 +282,19 @@ class ExplicitEngine:
                     if verdict is Verdict.VIOLATED
                     else f"holds on all {explored} reachable markings"
                 )
-                verdicts[slot] = PropertyVerdict(
-                    prop=prop,
-                    verdict=verdict,
-                    method="explicit",
-                    states=explored,
-                    note=note,
-                )
             else:
-                verdicts[slot] = PropertyVerdict(
-                    prop=prop,
-                    verdict=Verdict.UNKNOWN,
-                    method="explicit",
-                    states=explored,
-                    note=(
-                        f"undecided within the {self.max_states}-state "
-                        f"budget ({explored} explored)"
-                    ),
+                verdict = Verdict.UNKNOWN
+                note = (
+                    f"undecided within the {max_states}-state "
+                    f"budget ({explored} explored)"
                 )
-        return exploration, tuple(v for v in verdicts if v is not None)
+            decide(slot, verdict, explored, note=note)
+        return CheckReport(
+            net_name=compiled.net.name,
+            verdicts=tuple(verdicts),
+            explored=explored,
+            complete=complete,
+        )
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import CheckError
-from ..petri.analysis import incidence_matrix
+from ..petri.analysis import check_budget, incidence_matrix
 from ..petri.net import PetriNet
 from .explicit import CheckReport, ExplicitEngine, PropertyVerdict
 from .props import Property, Verdict
@@ -311,7 +311,15 @@ class InductiveEngine:
         self, properties: Iterable[Property], budget: int = 50_000
     ) -> CheckReport:
         """Check ``properties``; returns one verdict per property, in
-        order.  ``budget`` caps the explicit fallback's state count."""
+        order.  ``budget`` caps the explicit fallback's state count.
+
+        Raises
+        ------
+        CheckError
+            On a ``budget`` that is not an ``int`` >= 1, even when
+            induction decides every property and no search runs.
+        """
+        check_budget(budget, "budget", CheckError)
         props = tuple(properties)
         for prop in props:
             prop.validate_against(self.net)

@@ -5,13 +5,15 @@ verifiable model ("users can dynamically modify and verify different
 kinds of conditions during the presentation").  This module provides the
 verification side:
 
-* :class:`CompiledNet` / :func:`explore` — the compiled explorer every
-  verdict below runs on: a net lowered once to index arrays, states
-  interned as fixed-place-order counts tuples, breadth-first, with
-  parent pointers for firing traces (:mod:`repro.check.explicit`
-  builds on-the-fly property checking on the same structures);
-* :func:`reachability_graph` — the full graph as ``Marking`` dicts and
-  labelled edges, with a node budget;
+* :class:`CompiledNet` / :func:`explore` — the one state-space
+  search: a net lowered once to index arrays, states interned as
+  fixed-place-order counts tuples, breadth-first, with parent pointers
+  for firing traces.  Every verdict below runs on it, and so does
+  :mod:`repro.check.explicit`, whose property checks are a ``stop``
+  callback on the same search;
+* :func:`reachability_graph` — the ``Marking`` view of one
+  exploration: the full graph as ``Marking`` dicts and labelled edges,
+  with a node budget;
 * :func:`is_bounded` / :func:`bound_of` — coverability-based
   unboundedness detection (Karp–Miller style cut-off);
 * :func:`find_deadlocks` — reachable dead markings, with
@@ -41,11 +43,10 @@ work.  All functions leave the net's own marking untouched.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ..errors import PetriNetError, UnknownNodeError
 from .net import Marking, PetriNet
@@ -90,52 +91,12 @@ def check_budget(
     return value
 
 
-def _mutating(name: str):
-    base = getattr(list, name)
-
-    def method(self, *args, **kwargs):
-        self.version += 1
-        return base(self, *args, **kwargs)
-
-    method.__name__ = name
-    method.__doc__ = getattr(base, "__doc__", None)
-    return method
-
-
-class _ObservedList(list):
-    """A list that counts its mutations.
-
-    :class:`ReachabilityGraph` keys its adjacency cache on the edge
-    list's ``version`` so *any* mutation — append, in-place
-    replacement, deletion, sort — invalidates the cache, preserving
-    the pre-cache behaviour where every query reflected the live list.
-    """
-
-    # Class-level default: pickle rebuilds list subclasses by calling
-    # append() before __init__ runs, and appends must find a version.
-    version = 0
-
-    def __init__(self, iterable=()) -> None:
-        super().__init__(iterable)
-        self.version = 0
-
-
-for _name in (
-    "append", "extend", "insert", "remove", "pop", "clear",
-    "sort", "reverse", "__setitem__", "__delitem__", "__iadd__", "__imul__",
-):
-    setattr(_ObservedList, _name, _mutating(_name))
-del _name
-
-
 class MarkingCodec:
     """Canonical marking keys/encodings in fixed place order.
 
     The codec snapshots a net's place order once; every key is then a
     plain tuple of counts in that order — no per-marking sorting, which
     is what made ``Marking.frozen()`` the interning hot spot.
-    :meth:`encode` additionally packs a counts tuple into ``bytes`` for
-    the dense visited-set of :mod:`repro.check.explicit`.
     """
 
     __slots__ = ("places", "_index", "_getter")
@@ -183,19 +144,6 @@ class MarkingCodec:
             return self._getter(marking)
         except KeyError:
             return tuple(marking.get(place, 0) for place in self.places)
-
-    def encode(self, counts: Sequence[int]) -> bytes:
-        """Pack a counts sequence into bytes (one byte per place while
-        every count fits; an 8-byte-per-place wide form otherwise).
-
-        The two forms have different lengths for the same codec, so
-        keys from either never collide; a given marking always encodes
-        the same way.
-        """
-        try:
-            return bytes(counts)
-        except ValueError:
-            return b"".join(count.to_bytes(8, "big") for count in counts)
 
     def marking(self, counts: Sequence[int]) -> Marking:
         """Rebuild a :class:`~repro.petri.net.Marking` from counts."""
@@ -326,7 +274,7 @@ class Exploration:
         being dead — they are re-checked for enabledness rather than
         misreported."""
         candidates = [i for i, out in enumerate(self.succ) if not out]
-        if self.complete or self.compiled is None:
+        if self.complete:
             return candidates
         compiled = self.compiled
         return [
@@ -351,13 +299,23 @@ class Exploration:
         return graph
 
 
-def explore(compiled: CompiledNet, max_states: int) -> Exploration:
+def explore(
+    compiled: CompiledNet,
+    max_states: int,
+    stop: Callable[[Exploration, int], bool] | None = None,
+) -> Exploration:
     """Breadth-first exploration of up to ``max_states`` markings.
 
-    Nodes come out in the order :func:`reachability_graph` discovers
-    them, and edges are the same ones: an edge to a marking that no
-    longer fits the budget is dropped and the result is marked
+    States are expanded in discovery order.  An edge to a marking that
+    no longer fits the budget is dropped and the result is marked
     ``complete=False``.
+
+    ``stop(exploration, index)`` is called before state ``index`` is
+    expanded, for ``index`` = 0, 1, 2, …: states below ``index`` are
+    expanded, and ``exploration.states`` holds every state found so
+    far.  A true result ends the search with ``complete=False``.  A
+    search that runs out of states makes one last call, with
+    ``len(states)``, whose result is ignored.
 
     Raises
     ------
@@ -393,6 +351,9 @@ def explore(compiled: CompiledNet, max_states: int) -> Exploration:
     # first out, so the BFS queue is just the next index to expand.
     current_index = 0
     while current_index < len(states):
+        if stop is not None and stop(exploration, current_index):
+            exploration.complete = False
+            return exploration
         current = states[current_index]
         out = succ[current_index]
         for transition_index, pre, capacity_checks, delta in rules:
@@ -420,6 +381,8 @@ def explore(compiled: CompiledNet, max_states: int) -> Exploration:
                         parent.append((current_index, transition_index))
                     out.append((transition_index, target))
         current_index += 1
+    if stop is not None:
+        stop(exploration, current_index)
     return exploration
 
 
@@ -444,53 +407,22 @@ class ReachabilityGraph:
     """
 
     nodes: list[Marking] = field(default_factory=list)
-    edges: list[tuple[int, str, int]] = field(default_factory=_ObservedList)
+    edges: list[tuple[int, str, int]] = field(default_factory=list)
     complete: bool = True
-    _adjacency: list[list[tuple[str, int]]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _adjacency_token: tuple = field(
-        default=(), init=False, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def _out_edges(self) -> list[list[tuple[str, int]]]:
-        # Adjacency is built once and reused.  The cache token covers
-        # the edge list's identity and mutation count (hand-assembled
-        # graphs edit edges in place) plus the node count; an edge list
-        # replaced with a plain list has no mutation counter, so it is
-        # rebuilt on every call — the pre-cache behaviour.
-        edges = self.edges
-        token = (
-            id(edges),
-            getattr(edges, "version", None),
-            len(edges),
-            len(self.nodes),
-        )
-        if (
-            self._adjacency is None
-            or token != self._adjacency_token
-            or token[1] is None
-        ):
-            adjacency: list[list[tuple[str, int]]] = [
-                [] for __ in range(len(self.nodes))
-            ]
-            for source, transition, target in edges:
-                adjacency[source].append((transition, target))
-            self._adjacency = adjacency
-            self._adjacency_token = token
-        return self._adjacency
-
     def successors(self, index: int) -> Iterator[tuple[str, int]]:
         """Yield ``(transition, target_index)`` pairs for a node."""
-        yield from self._out_edges()[index]
+        for source, transition, target in self.edges:
+            if source == index:
+                yield transition, target
 
     def deadlock_indices(self) -> list[int]:
         """Indices of nodes with no outgoing edge."""
-        adjacency = self._out_edges()
-        return [i for i in range(len(self.nodes)) if not adjacency[i]]
+        sources = {source for source, __, __ in self.edges}
+        return [i for i in range(len(self.nodes)) if i not in sources]
 
     def transitions_seen(self) -> set[str]:
         """All transitions that label at least one edge."""
@@ -500,45 +432,16 @@ class ReachabilityGraph:
 def reachability_graph(net: PetriNet, max_nodes: int = 10_000) -> ReachabilityGraph:
     """Explore the state space of ``net`` from its current marking.
 
-    Exploration is breadth-first over ``Marking`` dicts and stops after
-    ``max_nodes`` distinct markings, setting ``complete=False`` on the
-    result.  The verdict functions below run on the compiled
-    :func:`explore` instead; this is the full-graph API.
+    The :func:`explore` search as ``Marking`` dicts and labelled edges:
+    it stops after ``max_nodes`` distinct markings, setting
+    ``complete=False`` on the result.
 
     Raises
     ------
     PetriNetError
         On a budget that is not an ``int`` >= 1.
     """
-    check_budget(max_nodes)
-    graph = ReachabilityGraph()
-    codec = MarkingCodec(net)
-    start = net.marking()
-    index_of: dict[_MarkingKey, int] = {codec.key(start): 0}
-    graph.nodes.append(start)
-    # Edges accumulate in a plain list (no per-append mutation
-    # accounting on the hot loop) and are wrapped once at the end.
-    edges: list[tuple[int, str, int]] = []
-    queue: deque[int] = deque([0])
-    while queue:
-        current_index = queue.popleft()
-        current = graph.nodes[current_index]
-        for transition in net.enabled_transitions(current):
-            successor = net.successor_marking(current, transition)
-            key = codec.key(successor)
-            if key in index_of:
-                target = index_of[key]
-            else:
-                if len(graph.nodes) >= max_nodes:
-                    graph.complete = False
-                    continue
-                target = len(graph.nodes)
-                index_of[key] = target
-                graph.nodes.append(successor)
-                queue.append(target)
-            edges.append((current_index, transition, target))
-    graph.edges = _ObservedList(edges)
-    return graph
+    return _explore_net(net, max_nodes).to_reachability_graph()
 
 
 def is_bounded(net: PetriNet, max_nodes: int = 10_000) -> bool:
@@ -811,29 +714,23 @@ def incidence_matrix(net: PetriNet) -> tuple[list[str], list[str], list[list[int
     return place_names, transition_names, matrix
 
 
-def place_invariants(net: PetriNet) -> list[dict[str, Fraction]]:
-    """A basis of place invariants (left null space of the incidence
-    matrix) over the rationals.
+def _null_space(
+    matrix: list[list[int]], names: list[str]
+) -> list[dict[str, Fraction]]:
+    """A basis of ``{x : matrix · x = 0}`` over the rationals, by
+    Gauss-Jordan elimination.
 
-    Each invariant is a weighting ``y`` of places with
-    ``y · C = 0``; for any reachable marking ``m``,
-    ``y · m == y · m0``.  Used to prove token conservation of the
-    OCPN constructions.
+    ``names`` label the columns; each basis vector is a dict of its
+    nonzero entries, one per free column in column order.  No columns,
+    no basis.
     """
-    place_names, transition_names, matrix = incidence_matrix(net)
-    n_places = len(place_names)
-    n_transitions = len(transition_names)
-    if n_places == 0:
+    columns = len(names)
+    if columns == 0:
         return []
-    # Solve y^T C = 0  <=>  C^T y = 0. Build C^T as rows of Fractions.
-    rows = [
-        [Fraction(matrix[p][t]) for p in range(n_places)]
-        for t in range(n_transitions)
-    ]
-    # Gauss-Jordan elimination on C^T.
+    rows = [[Fraction(value) for value in row] for row in matrix]
     pivot_cols: list[int] = []
     rank = 0
-    for col in range(n_places):
+    for col in range(columns):
         pivot_row = None
         for r in range(rank, len(rows)):
             if rows[r][col] != 0:
@@ -853,17 +750,33 @@ def place_invariants(net: PetriNet) -> list[dict[str, Fraction]]:
                 ]
         pivot_cols.append(col)
         rank += 1
-    free_cols = [c for c in range(n_places) if c not in pivot_cols]
-    invariants = []
-    for free in free_cols:
-        vector = [Fraction(0)] * n_places
+    basis = []
+    for free in (c for c in range(columns) if c not in pivot_cols):
+        vector = [Fraction(0)] * columns
         vector[free] = Fraction(1)
         for r, pivot_col in enumerate(pivot_cols):
             vector[pivot_col] = -rows[r][free]
-        invariants.append(
-            {place_names[i]: vector[i] for i in range(n_places) if vector[i] != 0}
+        basis.append(
+            {names[i]: vector[i] for i in range(columns) if vector[i] != 0}
         )
-    return invariants
+    return basis
+
+
+def place_invariants(net: PetriNet) -> list[dict[str, Fraction]]:
+    """A basis of place invariants (left null space of the incidence
+    matrix) over the rationals.
+
+    Each invariant is a weighting ``y`` of places with
+    ``y · C = 0``; for any reachable marking ``m``,
+    ``y · m == y · m0``.  Used to prove token conservation of the
+    OCPN constructions.
+    """
+    place_names, transition_names, matrix = incidence_matrix(net)
+    # y^T C = 0  <=>  C^T y = 0.
+    transposed = [
+        [row[t] for row in matrix] for t in range(len(transition_names))
+    ]
+    return _null_space(transposed, place_names)
 
 
 def transition_invariants(net: PetriNet) -> list[dict[str, Fraction]]:
@@ -875,52 +788,8 @@ def transition_invariants(net: PetriNet) -> list[dict[str, Fraction]]:
     the starting marking.  Cyclic presentation structures (loops, token
     round-trips) show up here; a one-shot OCPN typically has none.
     """
-    place_names, transition_names, matrix = incidence_matrix(net)
-    n_places = len(place_names)
-    n_transitions = len(transition_names)
-    if n_transitions == 0:
-        return []
-    rows = [
-        [Fraction(matrix[p][t]) for t in range(n_transitions)]
-        for p in range(n_places)
-    ]
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(n_transitions):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot_value = rows[rank][col]
-        rows[rank] = [value / pivot_value for value in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [
-                    value - factor * pivot
-                    for value, pivot in zip(rows[r], rows[rank])
-                ]
-        pivot_cols.append(col)
-        rank += 1
-    free_cols = [c for c in range(n_transitions) if c not in pivot_cols]
-    invariants = []
-    for free in free_cols:
-        vector = [Fraction(0)] * n_transitions
-        vector[free] = Fraction(1)
-        for r, pivot_col in enumerate(pivot_cols):
-            vector[pivot_col] = -rows[r][free]
-        invariants.append(
-            {
-                transition_names[i]: vector[i]
-                for i in range(n_transitions)
-                if vector[i] != 0
-            }
-        )
-    return invariants
+    __, transition_names, matrix = incidence_matrix(net)
+    return _null_space(matrix, transition_names)
 
 
 def conservative_weights(net: PetriNet) -> dict[str, Fraction] | None:

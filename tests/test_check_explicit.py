@@ -1,14 +1,22 @@
-"""Tests for the explicit-state engine: equivalence with the legacy
-analyser, counterexample traces, budgets, and verdict semantics."""
+"""Tests for the explicit-state engine: equivalence with the dict-BFS
+oracle and with the engine's former hand-inlined loop, counterexample
+traces, budgets, the explorer's ``stop`` hook, and verdict semantics."""
+
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.check.explicit import (
+    CheckReport,
     CompiledNet,
+    Counterexample,
     ExplicitEngine,
+    Exploration,
+    PropertyVerdict,
     check_explicit,
 )
-from repro.check.nets import product_cycles
+from repro.check.nets import floor_model, product_cycles
 from repro.check.props import (
     DeadlockFree,
     EventuallyFires,
@@ -17,9 +25,11 @@ from repro.check.props import (
     PlaceBound,
     Verdict,
 )
+from repro.core.modes import FCMMode
 from repro.errors import CheckError
-from repro.petri.analysis import reachability_graph
+from repro.petri.analysis import explore, reachability_graph
 from repro.petri.net import PetriNet
+from test_petri_analysis import BUDGETS, dict_bfs_graph, repo_nets, small_nets
 
 
 def race_net():
@@ -49,11 +59,21 @@ def capacity_net():
     return net
 
 
+def assert_same_graph(graph, oracle):
+    """Same nodes (item order included), same edges in the same order,
+    same ``complete``."""
+    assert [list(node.items()) for node in graph.nodes] == [
+        list(node.items()) for node in oracle.nodes
+    ]
+    assert graph.edges == oracle.edges
+    assert graph.complete == oracle.complete
+
+
 class TestExplorationEquivalence:
     @pytest.mark.parametrize("cycles,length", [(2, 3), (4, 4), (3, 5)])
     def test_matches_reachability_graph(self, cycles, length):
         net = product_cycles(cycles=cycles, length=length)
-        legacy = reachability_graph(net, max_nodes=100_000)
+        legacy = dict_bfs_graph(net, max_nodes=100_000)
         modern = ExplicitEngine(net, max_states=100_000).explore()
         assert len(legacy) == len(modern)
         view = modern.to_reachability_graph()
@@ -62,7 +82,7 @@ class TestExplorationEquivalence:
 
     def test_same_discovery_order_as_legacy(self):
         net = product_cycles(cycles=3, length=3)
-        legacy = reachability_graph(net)
+        legacy = dict_bfs_graph(net)
         modern = ExplicitEngine(net).explore()
         assert [m for m in legacy.nodes] == [
             modern.marking_of(i) for i in range(len(modern))
@@ -70,9 +90,31 @@ class TestExplorationEquivalence:
 
     def test_capacity_semantics_match(self):
         net = capacity_net()
-        legacy = reachability_graph(net)
+        legacy = dict_bfs_graph(net)
         modern = ExplicitEngine(net).explore()
         assert len(legacy) == len(modern) == 3  # sink at 0, 1, 2
+
+    @pytest.mark.parametrize(
+        "factory",
+        [factory for __, factory in repo_nets()],
+        ids=[name for name, __ in repo_nets()],
+    )
+    def test_reachability_graph_is_the_dict_bfs_graph(self, factory):
+        net = factory()
+        for budget in BUDGETS:
+            assert_same_graph(
+                reachability_graph(net, max_nodes=budget),
+                dict_bfs_graph(net, max_nodes=budget),
+            )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(net=small_nets())
+    def test_reachability_graph_is_the_dict_bfs_graph_generated(self, net):
+        for budget in BUDGETS:
+            assert_same_graph(
+                reachability_graph(net, max_nodes=budget),
+                dict_bfs_graph(net, max_nodes=budget),
+            )
 
     def test_exploration_does_not_mutate_net(self):
         net = race_net()
@@ -288,15 +330,333 @@ class TestReportApi:
             check_explicit(race_net(), [Mutex(("ghost",))])
 
 
-class TestCompiledNet:
-    def test_wide_encoding_for_large_counts(self):
-        net = PetriNet("wide")
-        net.add_place("p", tokens=300)
-        compiled = CompiledNet(net)
-        counts = compiled.initial_counts()
-        assert counts == (300,)
-        assert compiled.codec.encode(counts) == (300).to_bytes(8, "big")
+class TestStopHook:
+    """``explore``'s ``stop(exploration, index)`` hook, which the
+    property checker is built on."""
 
-    def test_narrow_encoding_is_one_byte_per_place(self):
-        compiled = CompiledNet(race_net())
-        assert compiled.codec.encode((1, 1, 0)) == bytes((1, 1, 0))
+    def test_called_before_each_expansion_in_order(self):
+        net = product_cycles(cycles=2, length=3)  # 9 markings
+        seen = []
+
+        def stop(exploration, index):
+            # States below ``index`` are expanded, the rest are not.
+            assert all(exploration.succ[i] for i in range(index))
+            assert not any(exploration.succ[index:])
+            seen.append((index, len(exploration.states)))
+            return False
+
+        result = explore(CompiledNet(net), 100, stop)
+        assert [index for index, __ in seen] == list(range(10))
+        assert seen[-1] == (9, 9)  # the last call follows the last expansion
+        assert result.complete
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 8])
+    def test_stop_at_k_keeps_what_was_found(self, k):
+        net = product_cycles(cycles=2, length=3)
+        found = {}
+
+        def stop(exploration, index):
+            found[index] = list(exploration.states)
+            return index == k
+
+        result = explore(CompiledNet(net), 100, stop)
+        assert not result.complete
+        assert result.states == found[k]
+        assert not any(result.succ[k:])  # nothing past k was expanded
+        full = explore(CompiledNet(net), 100)
+        assert result.states == full.states[: len(result.states)]
+        assert result.succ[:k] == full.succ[:k]
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_a_stop_that_never_fires_changes_nothing(self, budget):
+        for net in (product_cycles(cycles=3, length=3), capacity_net()):
+            plain = explore(CompiledNet(net), budget)
+            hooked = explore(CompiledNet(net), budget, lambda e, i: False)
+            assert (hooked.states, hooked.succ, hooked.parent) == (
+                plain.states, plain.succ, plain.parent
+            )
+            assert hooked.complete == plain.complete
+
+
+# ---------------------------------------------------------------------
+# Differential agreement: ExplicitEngine.check against the hand-inlined
+# BFS loop it used to run, kept here as the oracle.
+# ---------------------------------------------------------------------
+
+
+def reference_check(net, properties, max_states):
+    """The engine's former property loop: its own breadth-first search
+    over byte-encoded markings, evaluating properties inline."""
+    props = tuple(properties)
+    for prop in props:
+        prop.validate_against(net)
+    compiled = CompiledNet(net)
+    codec = compiled.codec
+    transition_count = len(compiled.transitions)
+    exploration = Exploration(
+        codec=codec, transitions=compiled.transitions, compiled=compiled
+    )
+    states = exploration.states
+    succ = exploration.succ
+    parent = exploration.parent
+
+    def encode(counts):
+        try:
+            return bytes(counts)
+        except ValueError:
+            return b"".join(count.to_bytes(8, "big") for count in counts)
+
+    safety = []
+    deadlock_props = []
+    eventually = {}
+    verdicts = [None] * len(props)
+    for slot, prop in enumerate(props):
+        if isinstance(prop, EventuallyFires):
+            eventually.setdefault(
+                compiled.transitions.index(prop.transition), []
+            ).append(slot)
+        elif isinstance(prop, DeadlockFree):
+            deadlock_props.append(slot)
+        else:
+            linear = prop.linear_bound()
+            if linear is not None:
+                coeffs, bound = linear
+                sparse = [
+                    (codec.index_of(place), coeff)
+                    for place, coeff in coeffs.items()
+                ]
+                safety.append((slot, prop, sparse, bound))
+            else:
+                safety.append((slot, prop, None, 0))
+
+    def violated(state):
+        slots = []
+        marking = None
+        for slot, prop, sparse, bound in safety:
+            if verdicts[slot] is not None:
+                continue
+            if sparse is not None:
+                total = 0
+                for index, coeff in sparse:
+                    total += coeff * state[index]
+                if total > bound:
+                    slots.append(slot)
+            else:
+                if marking is None:
+                    marking = codec.marking(state)
+                if prop.violated_by(marking):
+                    slots.append(slot)
+        return slots
+
+    initial = compiled.initial_counts()
+    index_of = {encode(initial): 0}
+    states.append(initial)
+    succ.append([])
+    parent.append((-1, -1))
+
+    def record_violation_slots(slots, trace, marking):
+        start = exploration.marking_of(0)
+        for slot in slots:
+            verdicts[slot] = PropertyVerdict(
+                prop=props[slot],
+                verdict=Verdict.VIOLATED,
+                method="explicit",
+                counterexample=Counterexample(
+                    trace=trace, marking=marking, start=start
+                ),
+                states=len(states),
+            )
+
+    def record_violations(state_index, slots):
+        if slots:
+            record_violation_slots(
+                slots,
+                exploration.trace_to(state_index),
+                exploration.marking_of(state_index),
+            )
+
+    if safety:
+        record_violations(0, violated(initial))
+    queue = deque([0])
+    while queue:
+        if props and all(verdict is not None for verdict in verdicts):
+            exploration.complete = False
+            break
+        current_index = queue.popleft()
+        current = states[current_index]
+        out = succ[current_index]
+        any_enabled = False
+        for transition_index in range(transition_count):
+            if not compiled.enabled(current, transition_index):
+                continue
+            any_enabled = True
+            for slot in eventually.get(transition_index, ()):
+                if verdicts[slot] is None:
+                    verdicts[slot] = PropertyVerdict(
+                        prop=props[slot],
+                        verdict=Verdict.PROVED,
+                        method="explicit",
+                        witness=exploration.trace_to(current_index)
+                        + (compiled.transitions[transition_index],),
+                        states=len(states),
+                    )
+            successor = list(compiled.fire(current, transition_index))
+            key = encode(successor)
+            target = index_of.get(key)
+            if target is None:
+                if len(states) >= max_states:
+                    exploration.complete = False
+                    if safety:
+                        slots = violated(successor)
+                        if slots:
+                            record_violation_slots(
+                                slots,
+                                exploration.trace_to(current_index)
+                                + (compiled.transitions[transition_index],),
+                                codec.marking(successor),
+                            )
+                    continue
+                target = len(states)
+                index_of[key] = target
+                states.append(tuple(successor))
+                succ.append([])
+                parent.append((current_index, transition_index))
+                queue.append(target)
+                if safety:
+                    record_violations(target, violated(successor))
+            out.append((transition_index, target))
+        if not any_enabled and deadlock_props:
+            slots = [slot for slot in deadlock_props if verdicts[slot] is None]
+            if slots:
+                record_violations(current_index, slots)
+
+    explored = len(states)
+    complete = exploration.complete
+    for slot, prop in enumerate(props):
+        if verdicts[slot] is not None:
+            continue
+        if complete:
+            verdict = (
+                Verdict.VIOLATED
+                if isinstance(prop, EventuallyFires)
+                else Verdict.PROVED
+            )
+            note = (
+                "transition never fires in the complete state space"
+                if verdict is Verdict.VIOLATED
+                else f"holds on all {explored} reachable markings"
+            )
+        else:
+            verdict = Verdict.UNKNOWN
+            note = (
+                f"undecided within the {max_states}-state "
+                f"budget ({explored} explored)"
+            )
+        verdicts[slot] = PropertyVerdict(
+            prop=prop, verdict=verdict, method="explicit",
+            states=explored, note=note,
+        )
+    return CheckReport(
+        net_name=net.name,
+        verdicts=tuple(verdicts),
+        explored=explored,
+        complete=complete,
+    )
+
+
+def report_fields(report):
+    """Every field of a report, markings with their item order."""
+    rows = []
+    for verdict in report.verdicts:
+        counterexample = verdict.counterexample
+        rows.append((
+            verdict.prop.name,
+            verdict.verdict,
+            verdict.method,
+            verdict.states,
+            verdict.note,
+            None if counterexample is None else (
+                counterexample.trace,
+                list(counterexample.marking.items()),
+                list(counterexample.start.items()),
+            ),
+            verdict.witness,
+        ))
+    return rows, report.explored, report.complete
+
+
+def assert_same_check(net, props):
+    for budget in BUDGETS:
+        expected = reference_check(net, props, budget)
+        actual = ExplicitEngine(net, max_states=budget).check(props)
+        assert report_fields(actual) == report_fields(expected), budget
+
+
+def every_property(net):
+    """Deadlock freedom, every transition firing, every place 1-bounded."""
+    return (
+        [DeadlockFree()]
+        + [EventuallyFires(transition) for transition in net.transitions]
+        + [PlaceBound(place, 1) for place in net.places]
+    )
+
+
+@st.composite
+def nets_with_properties(draw):
+    """A generated net and a mix of all five property kinds, with
+    duplicates."""
+    net = draw(small_nets())
+    places = sorted(net.places)
+    transitions = list(net.transitions)
+    kinds = [
+        st.just(DeadlockFree()),
+        st.builds(PlaceBound, st.sampled_from(places), st.integers(0, 3)),
+        st.builds(
+            Mutex,
+            st.lists(st.sampled_from(places), min_size=1, unique=True).map(tuple),
+            bound=st.integers(1, 3),
+        ),
+        st.builds(
+            lambda a, b, k: Invariant(f"{a} + {b} <= {k}"),
+            st.sampled_from(places), st.sampled_from(places), st.integers(0, 4),
+        ),
+    ]
+    if transitions:
+        kinds.append(st.builds(EventuallyFires, st.sampled_from(transitions)))
+    props = draw(st.lists(st.one_of(kinds), max_size=6))
+    if props and draw(st.booleans()):
+        props.append(draw(st.sampled_from(props)))
+    return net, props
+
+
+def fixed_cases():
+    cases = [
+        (f"product-{cycles}x{length}", product_cycles(cycles, length), [])
+        for cycles, length in ((1, 2), (2, 3), (3, 4), (4, 3))
+    ]
+    cases += [
+        (f"{mode.value}-{members}", model.net, list(model.properties))
+        for mode in FCMMode
+        for members in (2, 3, 4)
+        for model in (floor_model(mode, members),)
+    ]
+    return cases
+
+
+class TestAgreementWithFormerLoop:
+    """Same verdicts, evidence, ``states`` counts, ``explored`` and
+    ``complete`` as the engine's former inline loop, at every budget."""
+
+    @pytest.mark.parametrize(
+        "name,net,props", fixed_cases(), ids=[c[0] for c in fixed_cases()]
+    )
+    def test_fixed_nets(self, name, net, props):
+        if props:
+            assert_same_check(net, props)
+        assert_same_check(net, every_property(net))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=nets_with_properties())
+    def test_generated_nets(self, case):
+        net, props = case
+        assert_same_check(net, props)

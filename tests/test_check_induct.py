@@ -193,6 +193,16 @@ class TestEngineOrchestration:
         report = InductiveEngine(model.net).check(model.properties)
         assert [v.prop for v in report.verdicts] == list(model.properties)
 
+    @pytest.mark.parametrize(
+        "budget", [0, -5, float("nan"), True, "x"], ids=repr
+    )
+    def test_bad_budget_rejected_when_induction_decides_all(self, budget):
+        # Regression: the budget was only checked when the explicit
+        # fallback ran, so an all-inductive check accepted any value.
+        model = floor_model(FCMMode.EQUAL_CONTROL, members=3)
+        with pytest.raises(CheckError, match="^budget must be an int >= 1"):
+            check_net(model.net, [model.mutex], budget=budget)
+
 
 def random_net(rng: random.Random) -> PetriNet:
     """A small random net: bounded by construction (transitions move

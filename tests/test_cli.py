@@ -317,6 +317,13 @@ class TestCheck:
         assert main(["check", "--suite", "nope"]) == 2
         assert "unknown check suite" in capsys.readouterr().err
 
+    def test_zero_budget_named_as_the_budget(self, tmp_path, capsys):
+        assert main(["check", "--smoke", "--budget", "0",
+                     "--out", str(tmp_path / "zero.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: budget must be an int >= 1, got 0\n"
+        )
+
     def test_multiple_suites_with_explicit_out_get_suffixes(self, tmp_path):
         base = tmp_path / "multi.json"
         assert main(["check", "--suite", "figure1", "--suite", "floor_safety",

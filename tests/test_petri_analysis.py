@@ -12,6 +12,7 @@ from repro.core.modes import FCMMode
 from repro.errors import PetriNetError
 from repro.petri.analysis import (
     MarkingCodec,
+    ReachabilityGraph,
     bound_of,
     conservative_weights,
     dead_transitions,
@@ -21,6 +22,7 @@ from repro.petri.analysis import (
     is_live,
     place_invariants,
     reachability_graph,
+    transition_invariants,
 )
 from repro.petri.net import Marking, PetriNet
 from repro.temporal.compiler import compile_spec
@@ -158,20 +160,14 @@ class TestMarkingCodec:
         assert codec.marking(counts) == net.marking()
         assert isinstance(codec.marking(counts), Marking)
 
-    def test_encode_narrow_and_wide_forms(self):
-        codec = MarkingCodec(cycle_net())
-        assert codec.encode((1, 0)) == bytes((1, 0))
-        wide = codec.encode((300, 0))
-        assert wide == (300).to_bytes(8, "big") + (0).to_bytes(8, "big")
-
     def test_index_of_unknown_place_raises(self):
         with pytest.raises(PetriNetError):
             MarkingCodec(cycle_net()).index_of("ghost")
 
 
 class TestAdjacencyRegression:
-    """successors()/deadlock_indices() now reuse a one-shot adjacency
-    build; results must be pinned to the old full-edge-scan behaviour."""
+    """successors()/deadlock_indices() always read the live edge list,
+    even after the graph is edited by hand."""
 
     def scan_successors(self, graph, index):
         return [(t, tgt) for s, t, tgt in graph.edges if s == index]
@@ -382,6 +378,35 @@ class TestBudgetValidation:
 BUDGETS = (1, 2, 3, 5, 10, 50, 2000)
 
 
+def dict_bfs_graph(net, max_nodes=10_000):
+    """Breadth-first search over ``Marking`` dicts: what
+    ``reachability_graph`` ran before it became a view of ``explore``."""
+    graph = ReachabilityGraph()
+    codec = MarkingCodec(net)
+    start = net.marking()
+    index_of = {codec.key(start): 0}
+    graph.nodes.append(start)
+    queue = deque([0])
+    while queue:
+        current_index = queue.popleft()
+        current = graph.nodes[current_index]
+        for transition in net.enabled_transitions(current):
+            successor = net.successor_marking(current, transition)
+            key = codec.key(successor)
+            if key in index_of:
+                target = index_of[key]
+            else:
+                if len(graph.nodes) >= max_nodes:
+                    graph.complete = False
+                    continue
+                target = len(graph.nodes)
+                index_of[key] = target
+                graph.nodes.append(successor)
+                queue.append(target)
+            graph.edges.append((current_index, transition, target))
+    return graph
+
+
 def oracle_deadlocks(net, graph):
     """Edge-less nodes of the graph, re-checked on a truncated one."""
     deadlocks = [graph.nodes[i] for i in graph.deadlock_indices()]
@@ -457,7 +482,7 @@ def assert_agreement(net):
     before = net.marking()
     bounded, visited = oracle_bounded(net, max(BUDGETS))
     for budget in BUDGETS:
-        graph = reachability_graph(net, max_nodes=budget)
+        graph = dict_bfs_graph(net, max_nodes=budget)
         deadlocks = find_deadlocks(net, max_nodes=budget)
         assert list(deadlocks) == oracle_deadlocks(net, graph)
         assert (deadlocks.complete, deadlocks.explored) == (
@@ -552,6 +577,161 @@ class TestAgreementWithOracles:
 
     def test_bounded_product_of_4096_markings(self):
         assert is_bounded(product_cycles(6, 4)) is True
+
+
+# The two Gauss-Jordan copies place_invariants and
+# transition_invariants ran before they shared one null-space routine.
+
+
+def oracle_place_invariants(net):
+    """Gauss-Jordan on C^T: the left null space of the incidence matrix."""
+    place_names, transition_names, matrix = incidence_matrix(net)
+    n_places = len(place_names)
+    n_transitions = len(transition_names)
+    if n_places == 0:
+        return []
+    # Solve y^T C = 0  <=>  C^T y = 0. Build C^T as rows of Fractions.
+    rows = [
+        [Fraction(matrix[p][t]) for p in range(n_places)]
+        for t in range(n_transitions)
+    ]
+    # Gauss-Jordan elimination on C^T.
+    pivot_cols = []
+    rank = 0
+    for col in range(n_places):
+        pivot_row = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot_value = rows[rank][col]
+        rows[rank] = [value / pivot_value for value in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [
+                    value - factor * pivot
+                    for value, pivot in zip(rows[r], rows[rank])
+                ]
+        pivot_cols.append(col)
+        rank += 1
+    free_cols = [c for c in range(n_places) if c not in pivot_cols]
+    invariants = []
+    for free in free_cols:
+        vector = [Fraction(0)] * n_places
+        vector[free] = Fraction(1)
+        for r, pivot_col in enumerate(pivot_cols):
+            vector[pivot_col] = -rows[r][free]
+        invariants.append(
+            {place_names[i]: vector[i] for i in range(n_places) if vector[i] != 0}
+        )
+    return invariants
+
+
+def oracle_transition_invariants(net):
+    """Gauss-Jordan on C: the right null space of the incidence matrix."""
+    place_names, transition_names, matrix = incidence_matrix(net)
+    n_places = len(place_names)
+    n_transitions = len(transition_names)
+    if n_transitions == 0:
+        return []
+    rows = [
+        [Fraction(matrix[p][t]) for t in range(n_transitions)]
+        for p in range(n_places)
+    ]
+    pivot_cols = []
+    rank = 0
+    for col in range(n_transitions):
+        pivot_row = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot_value = rows[rank][col]
+        rows[rank] = [value / pivot_value for value in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [
+                    value - factor * pivot
+                    for value, pivot in zip(rows[r], rows[rank])
+                ]
+        pivot_cols.append(col)
+        rank += 1
+    free_cols = [c for c in range(n_transitions) if c not in pivot_cols]
+    invariants = []
+    for free in free_cols:
+        vector = [Fraction(0)] * n_transitions
+        vector[free] = Fraction(1)
+        for r, pivot_col in enumerate(pivot_cols):
+            vector[pivot_col] = -rows[r][free]
+        invariants.append(
+            {
+                transition_names[i]: vector[i]
+                for i in range(n_transitions)
+                if vector[i] != 0
+            }
+        )
+    return invariants
+
+
+def basis_items(basis):
+    return [list(vector.items()) for vector in basis]
+
+
+#: Every repository net but the 32-item presentations, whose rational
+#: elimination takes seconds per net (twice over with the oracle).
+INVARIANT_NETS = [
+    (name, factory) for name, factory in repo_nets()
+    if not name.startswith("random-32")
+]
+
+
+class TestInvariantOracles:
+    """Same bases, vector for vector and entry order included, as the
+    two elimination copies the invariant functions replaced."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [factory for __, factory in INVARIANT_NETS],
+        ids=[name for name, __ in INVARIANT_NETS],
+    )
+    def test_repo_nets(self, factory):
+        net = factory()
+        assert basis_items(place_invariants(net)) == basis_items(
+            oracle_place_invariants(net)
+        )
+        assert basis_items(transition_invariants(net)) == basis_items(
+            oracle_transition_invariants(net)
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(net=small_nets())
+    def test_generated_nets(self, net):
+        assert basis_items(place_invariants(net)) == basis_items(
+            oracle_place_invariants(net)
+        )
+        assert basis_items(transition_invariants(net)) == basis_items(
+            oracle_transition_invariants(net)
+        )
+
+    def test_net_without_transitions_or_places(self):
+        places_only = PetriNet()
+        places_only.add_place("a")
+        places_only.add_place("b", tokens=2)
+        transitions_only = PetriNet()
+        transitions_only.add_transition("t")
+        for net in (places_only, transitions_only, PetriNet()):
+            assert place_invariants(net) == oracle_place_invariants(net)
+            assert transition_invariants(net) == (
+                oracle_transition_invariants(net)
+            )
 
 
 class TestIncidenceAndInvariants:
