@@ -196,10 +196,12 @@ class SessionConfig:
     #: every event.  Fleet runs set a finite capacity so per-session
     #: memory stays bounded however long the simulation runs.
     transcript_capacity: int | None = None
-    #: Arbitration engine: ``"reference"`` runs the paper-shaped object
-    #: graph; ``"compiled"`` swaps in the array-compiled batch
-    #: arbitration of :mod:`repro.engine` (identical decisions, stats
-    #: and transcripts — an execution knob, never part of the seed).
+    #: Engine name, validated against :data:`repro.engine.ENGINES`:
+    #: ``"reference"`` or ``"compiled"``.  Both values run the same
+    #: facade code, which arbitrates each floor request per message on
+    #: the reference stack; the compiled engine serves fleets and
+    #: policy cells (:func:`repro.engine.make_engine_policy`).  An
+    #: execution knob, never part of the seed.
     engine: str = "reference"
     #: Mode of the session's live metrics fold
     #: (:class:`~repro.metrics.fold.MetricsFold`): ``"exact"`` retains
@@ -284,25 +286,13 @@ class SessionBuilder:
     """
 
     def __init__(self, chair: str = "teacher", chair_joins: bool = True) -> None:
-        self._chair = chair
+        self._config = SessionConfig(chair=chair)
         self._chair_joins = chair_joins
         self._specs: dict[str, ParticipantSpec] = {}
-        self._link = LinkSpec()
-        self._resources = ResourceSpec()
-        self._dynamics: list[DynamicsSpec | PartitionSpec] = []
-        self._mode = FCMMode.FREE_ACCESS
-        self._seed = 0
-        self._presence_timeout = 1.0
-        self._presence_sweep: float | None = None
-        self._heartbeat_interval: float | None = 0.25
-        self._clock_sync_interval: float | None = None
-        self._join_warmup = 1.0
-        self._server_host = "server"
-        self._checks: tuple[str, ...] = ()
-        self._check_sweep = 0.5
-        self._transcript_capacity: int | None = None
-        self._engine = "reference"
-        self._metrics_mode = "exact"
+
+    def _set(self, **changes) -> "SessionBuilder":
+        self._config = replace(self._config, **changes)
+        return self
 
     # ------------------------------------------------------------------
     # Topology
@@ -323,19 +313,20 @@ class SessionBuilder:
         here override the session-wide defaults for this member only."""
         link = None
         if any(v is not None for v in (latency, jitter, loss, bandwidth_kbps)):
+            default = self._config.link
             link = LinkSpec(
-                latency=latency if latency is not None else self._link.latency,
-                jitter=jitter if jitter is not None else self._link.jitter,
-                loss=loss if loss is not None else self._link.loss,
+                latency=latency if latency is not None else default.latency,
+                jitter=jitter if jitter is not None else default.jitter,
+                loss=loss if loss is not None else default.loss,
                 bandwidth_kbps=(
                     bandwidth_kbps
                     if bandwidth_kbps is not None
-                    else self._link.bandwidth_kbps
+                    else default.bandwidth_kbps
                 ),
             )
         self._specs[name] = ParticipantSpec(
             name=name,
-            chair=(name == self._chair),
+            chair=(name == self._config.chair),
             host=host,
             link=link,
             clock_offset=clock_offset,
@@ -367,14 +358,12 @@ class SessionBuilder:
             )
             if value is not None
         }
-        self._link = replace(self._link, **updates)
-        return self
+        return self._set(link=replace(self._config.link, **updates))
 
     def resources(self, **kwargs: float) -> "SessionBuilder":
         """Override server capacity / threshold fields of
         :class:`ResourceSpec` (keyword arguments match its fields)."""
-        self._resources = replace(self._resources, **kwargs)
-        return self
+        return self._set(resources=replace(self._config.resources, **kwargs))
 
     # ------------------------------------------------------------------
     # Network dynamics
@@ -385,8 +374,7 @@ class SessionBuilder:
         """Attach time-varying network behaviour (profiles from
         :mod:`repro.net.dynamics` wrapped in :class:`DynamicsSpec`,
         or :class:`PartitionSpec` windows)."""
-        self._dynamics.extend(specs)
-        return self
+        return self._set(dynamics=self._config.dynamics + specs)
 
     def loss_burst(
         self,
@@ -462,13 +450,11 @@ class SessionBuilder:
     def policy(self, policy: "FCMMode | str") -> "SessionBuilder":
         """Set the initial floor policy by mode or registry name
         (``"free_access"``, ``"equal_control"``, ...)."""
-        self._mode = resolve_mode(policy)
-        return self
+        return self._set(mode=resolve_mode(policy))
 
     def seed(self, value: int) -> "SessionBuilder":
         """Seed for network jitter/loss randomness (reproducible runs)."""
-        self._seed = value
-        return self
+        return self._set(seed=value)
 
     def checks(self, *names: str, sweep: float | None = None) -> "SessionBuilder":
         """Attach runtime invariants (:mod:`repro.check.monitor`) the
@@ -476,9 +462,9 @@ class SessionBuilder:
         ``.checks("single_speaker", "queue_consistent")``.  Repeated
         names (across calls too) are kept once.  ``sweep`` overrides
         the periodic re-check interval (virtual seconds)."""
-        self._checks = tuple(dict.fromkeys(self._checks + names))
+        self._set(checks=tuple(dict.fromkeys(self._config.checks + names)))
         if sweep is not None:
-            self._check_sweep = sweep
+            self._set(check_sweep=sweep)
         return self
 
     def presence(
@@ -486,49 +472,43 @@ class SessionBuilder:
     ) -> "SessionBuilder":
         """Configure the presence monitor (heartbeat timeout / sweep)."""
         if timeout is not None:
-            self._presence_timeout = timeout
+            self._set(presence_timeout=timeout)
         if sweep is not None:
-            self._presence_sweep = sweep
+            self._set(presence_sweep=sweep)
         return self
 
     def heartbeats(self, interval: float | None) -> "SessionBuilder":
         """Client heartbeat period; ``None`` disables heartbeats."""
-        self._heartbeat_interval = interval
-        return self
+        return self._set(heartbeat_interval=interval)
 
     def clock_sync(self, interval: float | None) -> "SessionBuilder":
         """Cristian clock-sync period; ``None`` disables syncing."""
-        self._clock_sync_interval = interval
-        return self
+        return self._set(clock_sync_interval=interval)
 
     def warmup(self, seconds: float) -> "SessionBuilder":
         """Virtual time to run right after joins (handshake settling)."""
-        self._join_warmup = seconds
-        return self
+        return self._set(join_warmup=seconds)
 
     def server_host(self, name: str) -> "SessionBuilder":
         """Rename the server's network host (default ``"server"``)."""
-        self._server_host = name
-        return self
+        return self._set(server_host=name)
 
     def transcript_capacity(self, capacity: int | None) -> "SessionBuilder":
         """Bound the server transcript to the newest ``capacity``
         events (ring mode); ``None`` keeps the full history."""
-        self._transcript_capacity = capacity
-        return self
+        return self._set(transcript_capacity=capacity)
 
     def metrics_mode(self, mode: str) -> "SessionBuilder":
         """Live metrics fold mode: ``"exact"`` (default) or ``"fold"``
         for O(members) binned state on long-lived sessions."""
-        self._metrics_mode = mode
-        return self
+        return self._set(metrics_mode=mode)
 
     def engine(self, name: str) -> "SessionBuilder":
-        """Arbitration engine: ``"reference"`` (default) or
-        ``"compiled"`` (:mod:`repro.engine`).  An execution knob —
-        transcripts, reports and seeds are identical either way."""
-        self._engine = name
-        return self
+        """Set :attr:`SessionConfig.engine`: ``"reference"`` (default)
+        or ``"compiled"``, validated against
+        :data:`repro.engine.ENGINES`.  Both values run the same facade
+        code, which arbitrates per message on the reference stack."""
+        return self._set(engine=name)
 
     # ------------------------------------------------------------------
     # Products
@@ -536,28 +516,10 @@ class SessionBuilder:
     def config(self) -> SessionConfig:
         """Freeze the current state into a :class:`SessionConfig`."""
         specs = list(self._specs.values())
-        if self._chair_joins and self._chair not in self._specs:
-            specs.insert(0, ParticipantSpec(name=self._chair, chair=True))
-        config = SessionConfig(
-            participants=tuple(specs),
-            chair=self._chair,
-            link=self._link,
-            resources=self._resources,
-            dynamics=tuple(self._dynamics),
-            mode=self._mode,
-            seed=self._seed,
-            presence_timeout=self._presence_timeout,
-            presence_sweep=self._presence_sweep,
-            heartbeat_interval=self._heartbeat_interval,
-            clock_sync_interval=self._clock_sync_interval,
-            join_warmup=self._join_warmup,
-            server_host=self._server_host,
-            checks=self._checks,
-            check_sweep=self._check_sweep,
-            transcript_capacity=self._transcript_capacity,
-            engine=self._engine,
-            metrics_mode=self._metrics_mode,
-        )
+        chair = self._config.chair
+        if self._chair_joins and chair not in self._specs:
+            specs.insert(0, ParticipantSpec(name=chair, chair=True))
+        config = replace(self._config, participants=tuple(specs))
         config.validate()
         return config
 

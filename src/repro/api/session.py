@@ -84,18 +84,6 @@ class Session:
             presence_timeout=config.presence_timeout,
             log_capacity=config.transcript_capacity,
         )
-        if config.engine == "compiled":
-            # Swap in the array-compiled batch arbitration before any
-            # member joins: nothing has been arbitrated yet, so the
-            # replacement starts from the exact same (empty) state the
-            # reference arbitrator would.  Decisions, stats and the
-            # transcript stay byte-identical (tests pin this).
-            from ..engine import CompiledArbitrator
-
-            control = self.server.control
-            control.arbitrator = CompiledArbitrator(
-                control.registry, control.resources
-            )
         if config.presence_sweep is not None:
             self.server.presence.sweep_interval = config.presence_sweep
         self.dynamics = NetworkDynamics(

@@ -186,10 +186,7 @@ class Arbitrator:
         return grant
 
     def arbitrate_batch(
-        self,
-        requests: list[FloorRequest],
-        demands: list[ResourceVector | None] | None = None,
-        now: float = 0.0,
+        self, requests: list[FloorRequest], now: float = 0.0
     ) -> list[FloorGrant]:
         """Decide a tick's worth of requests in arrival order.
 
@@ -197,19 +194,9 @@ class Arbitrator:
         submits them together; decisions are identical to calling
         :meth:`arbitrate` once per request (same order, same state
         transitions), but the batch shape keeps the hot loop free of
-        per-call framing and is the seam the future array-compiled
-        core replaces.
+        per-call framing.
         """
-        if demands is None:
-            return [self.arbitrate(request, now=now) for request in requests]
-        if len(demands) != len(requests):
-            raise FloorControlError(
-                f"batch mismatch: {len(requests)} requests, {len(demands)} demands"
-            )
-        return [
-            self.arbitrate(request, demand=demand, now=now)
-            for request, demand in zip(requests, demands)
-        ]
+        return [self.arbitrate(request, now=now) for request in requests]
 
     # ------------------------------------------------------------------
     # Mode rules

@@ -1,7 +1,7 @@
 """``repro.engine`` — the array-compiled simulation core.
 
-Every entry point in the codebase can run its floor-control simulation
-on one of two engines:
+Fleets and policy cells run their floor-control simulation on one of
+two engines:
 
 * ``"reference"`` — the paper-shaped object graph (:mod:`repro.core`,
   :mod:`repro.api.policies`): registries, resource vectors, token and
@@ -20,14 +20,13 @@ arbitration counters, and materialize *byte-identical* transcripts
 (``repro replay`` verifies the canonical JSON, and bench E16 re-checks
 it for all four FCM modes plus both baselines on every run).
 
-The seam is threaded everywhere a simulation starts: ``engine=`` on
-:class:`~repro.api.config.SessionConfig` / ``SessionBuilder.engine()``
-(the facade swaps in :class:`CompiledArbitrator`), the ``engine``
-sweep parameter of the session/policy cell runners, the fleet's
-``FleetConfig.engine`` / ``repro fleet --engine compiled``, and
+The seam sits where a simulation batches floor requests: the fleet's
+``FleetConfig.engine`` / ``repro fleet --engine compiled`` and the
+``engine`` sweep parameter of the policy cell runner, both through
 :func:`make_engine_policy`, the built-in policy factory fleets and
-policy cells share.  The knob is an *execution* parameter: it is
-excluded from seed derivation
+policy cells share.  Facade sessions arbitrate one message at a time
+on the reference stack whatever their ``engine`` setting says.  The
+knob is an *execution* parameter: it is excluded from seed derivation
 (:data:`repro.experiments.spec.EXECUTION_PARAMS`), so switching
 engines never changes the simulated workload.
 """
@@ -35,7 +34,6 @@ engines never changes the simulated workload.
 from __future__ import annotations
 
 from ..errors import ReproError
-from .arbitrator import CompiledArbitrator
 from .compiled import (
     CompiledEngine,
     CompiledFIFO,
@@ -48,7 +46,6 @@ from .log import ColumnarLog
 __all__ = [
     "ENGINES",
     "ColumnarLog",
-    "CompiledArbitrator",
     "CompiledEngine",
     "CompiledFIFO",
     "CompiledFreeForAll",

@@ -89,8 +89,6 @@ class CompiledEngine:
         Session chair name (interned as member id 0, never JOIN-logged).
     log_capacity:
         Transcript ring bound; ``None`` keeps everything.
-    numpy:
-        Columnar backend flag (see :mod:`repro.engine.log`).
     """
 
     __slots__ = (
@@ -104,7 +102,6 @@ class CompiledEngine:
         mode: FCMMode | str,
         chair: str = "teacher",
         log_capacity: int | None = None,
-        numpy: bool | None = None,
     ) -> None:
         self.mode = mode if isinstance(mode, FCMMode) else FCMMode(mode)
         self.chair = chair
@@ -123,7 +120,6 @@ class CompiledEngine:
             ["session", "session/sub0"],
             self.mode.value,
             capacity=log_capacity,
-            numpy=numpy,
         )
         # The reference policy's constructor re-asserts its mode on the
         # session group, so the first transcript event is always a
@@ -302,7 +298,7 @@ class CompiledFIFO:
     __slots__ = ("log", "grants", "waits", "stats", "_ids", "_names", "_seen",
                  "_holder", "_queue", "_in_queue")
 
-    def __init__(self, log_capacity: int | None = None, numpy: bool | None = None) -> None:
+    def __init__(self, log_capacity: int | None = None) -> None:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
         self._seen = bytearray()
@@ -313,7 +309,7 @@ class CompiledFIFO:
         self.waits = 0
         self.stats = ArbitrationStats()
         self.log = ColumnarLog(
-            self._names, ["session"], "fifo", capacity=log_capacity, numpy=numpy
+            self._names, ["session"], "fifo", capacity=log_capacity
         )
 
     def _intern(self, member: str) -> int:
@@ -412,7 +408,6 @@ class CompiledFreeForAll:
         self,
         collision_window: float = 0.25,
         log_capacity: int | None = None,
-        numpy: bool | None = None,
     ) -> None:
         self.collision_window = collision_window
         self.collisions = 0
@@ -423,8 +418,7 @@ class CompiledFreeForAll:
         self._post_times = array("d")
         self._post_authors = array("q")
         self.log = ColumnarLog(
-            self._names, ["session"], "free_for_all",
-            capacity=log_capacity, numpy=numpy,
+            self._names, ["session"], "free_for_all", capacity=log_capacity
         )
 
     def request(self, member: str, now: float = 0.0) -> bool:
@@ -511,7 +505,7 @@ def compile_policy(name: str, **kwargs):
 
     Accepts the four FCM mode values plus ``"fifo"`` and
     ``"free_for_all"``; keyword arguments pass through to the class
-    (``log_capacity``/``numpy`` everywhere, ``chair`` for the modes,
+    (``log_capacity`` everywhere, ``chair`` for the modes,
     ``collision_window`` for free-for-all).
 
     Raises

@@ -23,19 +23,10 @@ Ring mode mirrors :class:`~repro.events.bus.EventBus`: with a finite
 ``capacity`` the log keeps the most recent ``capacity`` events, counts
 each drop in :attr:`evicted`, and compacts its columns amortized so a
 bounded log never grows without bound.
-
-Backends
---------
-Columns are stdlib :mod:`array`/:class:`bytearray` by default.  Setting
-``numpy=True`` (or exporting ``REPRO_ENGINE_NUMPY=1``) swaps the
-integer/float columns for growable :mod:`numpy` buffers when numpy is
-importable; the flag changes storage only, never the materialized
-events.  With ``numpy=None`` the environment variable decides.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 
 from ..events.types import EventKind, FloorEvent
@@ -59,64 +50,6 @@ K_INVITE_RESPONSE = 7
 _COMPACT_THRESHOLD = 1024
 
 
-def _numpy_enabled(flag: bool | None) -> bool:
-    if flag is not None:
-        return flag
-    return os.environ.get("REPRO_ENGINE_NUMPY", "").lower() in ("1", "true", "yes", "on")
-
-
-class _NumpyColumn:
-    """A growable numpy-backed column with the tiny slice of the
-    ``array`` interface the log needs (append / index / del-front)."""
-
-    __slots__ = ("_data", "_size")
-
-    def __init__(self, dtype) -> None:
-        import numpy
-
-        self._data = numpy.zeros(64, dtype=dtype)
-        self._size = 0
-
-    def append(self, value) -> None:
-        if self._size == len(self._data):
-            import numpy
-
-            grown = numpy.zeros(len(self._data) * 2, dtype=self._data.dtype)
-            grown[: self._size] = self._data
-            self._data = grown
-        self._data[self._size] = value
-        self._size += 1
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, index: int):
-        return self._data[index].item()
-
-    def trim_front(self, count: int) -> None:
-        self._data[: self._size - count] = self._data[count : self._size]
-        self._size -= count
-
-
-def _int_column(use_numpy: bool):
-    if use_numpy:
-        return _NumpyColumn("int64")
-    return array("q")
-
-
-def _float_column(use_numpy: bool):
-    if use_numpy:
-        return _NumpyColumn("float64")
-    return array("d")
-
-
-def _trim_front(column, count: int) -> None:
-    if isinstance(column, _NumpyColumn):
-        column.trim_front(count)
-    else:
-        del column[:count]
-
-
 class ColumnarLog:
     """Flat-column event log with lazy :class:`FloorEvent` materialization.
 
@@ -133,8 +66,6 @@ class ColumnarLog:
         events (an FCM mode value or a baseline policy name).
     capacity:
         Ring bound; ``None`` keeps every event.
-    numpy:
-        Backend flag (see module docstring).
     """
 
     __slots__ = (
@@ -148,31 +79,24 @@ class ColumnarLog:
         group_names: list[str],
         mode_value: str,
         capacity: int | None = None,
-        numpy: bool | None = None,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be positive or None, got {capacity!r}")
-        use_numpy = _numpy_enabled(numpy)
         self.member_names = member_names
         self.group_names = group_names
         self.mode_value = mode_value
         self.capacity = capacity
         self.evicted = 0
-        self._times = _float_column(use_numpy)
+        self._times = array("d")
         self._kinds = bytearray()
-        self._members = _int_column(use_numpy)
+        self._members = array("q")
         self._groups = bytearray()
-        self._aux_a = _int_column(use_numpy)
-        self._aux_b = _int_column(use_numpy)
+        self._aux_a = array("q")
+        self._aux_b = array("q")
         self._start = 0
 
     def __len__(self) -> int:
         return len(self._kinds) - self._start
-
-    @property
-    def numpy_backed(self) -> bool:
-        """Whether the integer/float columns use the numpy backend."""
-        return isinstance(self._members, _NumpyColumn)
 
     def append(
         self,
@@ -195,12 +119,12 @@ class ColumnarLog:
             self.evicted += 1
             start = self._start
             if start >= _COMPACT_THRESHOLD and start * 2 >= len(self._kinds):
-                _trim_front(self._times, start)
+                del self._times[:start]
                 del self._kinds[:start]
-                _trim_front(self._members, start)
+                del self._members[:start]
                 del self._groups[:start]
-                _trim_front(self._aux_a, start)
-                _trim_front(self._aux_b, start)
+                del self._aux_a[:start]
+                del self._aux_b[:start]
                 self._start = 0
 
     # ------------------------------------------------------------------

@@ -105,12 +105,18 @@ def _cell_value(cell: Cell, key: str) -> Any:
 def _float_value(cell: Cell, key: str) -> float:
     value = _cell_value(cell, key)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ReproError(
             f"cell {cell.cell_id!r}: parameter {key!r} must be numeric, "
             f"got {value!r}"
         ) from None
+    if not math.isfinite(number):
+        raise ReproError(
+            f"cell {cell.cell_id!r}: parameter {key!r} must be finite, "
+            f"got {value!r}"
+        )
+    return number
 
 
 def _check_known_params(cell: Cell) -> None:

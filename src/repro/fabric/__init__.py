@@ -8,9 +8,9 @@ independent DMPS sessions at once:
   :class:`~repro.fabric.config.FleetBuilder` describe a fleet the way
   :class:`~repro.api.config.SessionBuilder` describes one session;
 * :class:`~repro.fabric.fleet.Fleet` advances every session in
-  lockstep ticks on one logical
-  :class:`~repro.clock.virtual.VirtualClock`, batching arbitration
-  decisions per tick;
+  lockstep ticks on one logical clock (the deadlines of
+  :meth:`~repro.fabric.config.FleetConfig.ticks`), batching
+  arbitration decisions per tick;
 * sessions are sharded across worker processes (shared-nothing,
   assignment stable under fleet growth, per-session seeds derived from
   the root seed exactly like the sweep engine), and

@@ -20,6 +20,7 @@ its seed when the fleet grows around it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -73,6 +74,11 @@ class FleetConfig:
 
     def validate(self) -> None:
         """Reject inconsistent fleets before any session is built."""
+        for name in ("duration", "tick", "mean_hold", "request_rate",
+                     "latency", "partition_start", "partition_duration"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ReproError(f"{name} must be finite, got {value!r}")
         if self.sessions < 1:
             raise ReproError(f"a fleet needs at least one session, got {self.sessions!r}")
         if not 1 <= self.shards:

@@ -1,12 +1,12 @@
 """The fleet: N sessions, one logical clock, K shards, one fold.
 
-Serial execution (:class:`Fleet`) schedules every lockstep tick on one
-:class:`~repro.clock.virtual.VirtualClock` and advances all shards at
-each deadline.  Sharded execution (:func:`run_fleet` with
-``workers > 1``) sends whole shards to worker processes; each worker
-replays the *same* tick deadlines against its own clock replica — one
-logical clock, K physical ones — and returns a single
-:class:`~repro.metrics.aggregate.FleetMetrics` fold.
+The logical clock is the lockstep tick schedule
+:meth:`~repro.fabric.config.FleetConfig.ticks`.  Serial execution
+(:class:`Fleet`) walks those deadlines and advances all shards at each
+one.  Sharded execution (:func:`run_fleet` with ``workers > 1``) sends
+whole shards to worker processes; each worker walks the *same*
+deadlines (:func:`~repro.fabric.shard.run_shard_traced`) and returns a
+single :class:`~repro.metrics.aggregate.FleetMetrics` fold.
 
 Because every fold component is an exact commutative integer merge,
 the aggregate is bit-identical whatever the worker count or completion
@@ -28,13 +28,12 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from ..clock.virtual import VirtualClock
 from ..errors import ReproError
 from ..experiments.spec import CAPTURE_PARAMS, Cell
 from ..metrics import FleetMetrics
 from ..trace import timing as _timing
 from .config import FleetConfig
-from .shard import Shard, run_shard, run_shard_traced
+from .shard import Shard, run_shard_traced
 
 __all__ = ["Fleet", "FleetResult", "run_fleet", "run_fleet_cell"]
 
@@ -131,7 +130,8 @@ class FleetResult:
 
 
 class Fleet:
-    """Serial lockstep engine: every shard on one VirtualClock.
+    """Serial lockstep engine: every shard advanced at each deadline
+    of :meth:`~repro.fabric.config.FleetConfig.ticks`.
 
     ``on_tick(deadline, events_so_far, fleet)`` fires after each
     lockstep tick; callers wanting streaming metrics call
@@ -147,7 +147,6 @@ class Fleet:
     ) -> None:
         config.validate()
         self.config = config
-        self.clock = VirtualClock()
         self.shards = [Shard(index, config) for index in range(config.shards)]
         self._on_tick = on_tick
         self._trace = trace
@@ -167,8 +166,7 @@ class Fleet:
         spans: list[dict[str, Any]] = []
         try:
             for deadline in self.config.ticks():
-                self.clock.call_at(deadline, self._tick, deadline)
-            self.clock.run_until(self.config.duration)
+                self._tick(deadline)
             metrics = self.snapshot()
             if self._trace:
                 # Collected before teardown: span ids derive from each
@@ -249,28 +247,18 @@ def run_fleet(
     total = FleetMetrics()
     spans: list[dict[str, Any]] = []
     merged_profile = _timing.Profiler()
-    observed = trace or profile
     with ProcessPoolExecutor(
         max_workers=min(workers, config.shards), mp_context=_pool_context()
     ) as pool:
-        if observed:
-            futures = [
-                pool.submit(run_shard_traced, index, config, trace, profile)
-                for index in range(config.shards)
-            ]
-        else:
-            futures = [
-                pool.submit(run_shard, index, config)
-                for index in range(config.shards)
-            ]
+        futures = [
+            pool.submit(run_shard_traced, index, config, trace, profile)
+            for index in range(config.shards)
+        ]
         done = 0
         for future in as_completed(futures):
-            if observed:
-                fold, shard_spans, shard_profile = future.result()
-                spans.extend(shard_spans)
-                merged_profile.merge(shard_profile)
-            else:
-                fold = future.result()
+            fold, shard_spans, shard_profile = future.result()
+            spans.extend(shard_spans)
+            merged_profile.merge(shard_profile)
             total.merge(fold)
             done += 1
             if progress:

@@ -8,16 +8,17 @@ session carries its own policy state, workload stream and ring-bounded
 transcript, which is why worker processes need no coordination beyond
 the lockstep tick schedule and one summary message at the end.
 
-:func:`run_shard` is the module-level worker entry point
+:func:`run_shard_traced` is the module-level worker entry point
 (:class:`~concurrent.futures.ProcessPoolExecutor` sends it by pickled
-reference); it replays the same tick deadlines the serial
+reference); it walks the same tick deadlines the serial
 :class:`~repro.fabric.fleet.Fleet` drives, so both executions consume
 identical event windows — the root of the serial/sharded
-byte-identity guarantee.
+byte-identity guarantee.  :func:`run_shard` is its fold-only form.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any
 
 from ..metrics import FleetMetrics
@@ -90,19 +91,13 @@ class Shard:
 
 
 def run_shard(shard_index: int, config: FleetConfig) -> FleetMetrics:
-    """Worker entry point: run one shard start-to-finish, return its fold.
+    """Run one shard start-to-finish and return its fold alone.
 
     Drives the exact tick deadlines of :meth:`FleetConfig.ticks` — the
     same logical clock the serial fleet advances — so a shard's
     sessions consume identical event windows in either execution.
     """
-    shard = Shard(shard_index, config)
-    try:
-        for deadline in config.ticks():
-            shard.advance(deadline)
-        return shard.summary()
-    finally:
-        shard.close()
+    return run_shard_traced(shard_index, config, trace=False)[0]
 
 
 def run_shard_traced(
@@ -121,16 +116,11 @@ def run_shard_traced(
     profiler = _timing.Profiler() if profile else None
     shard = Shard(shard_index, config)
     try:
-        if profiler is not None:
-            with _timing.activate(profiler):
-                for deadline in config.ticks():
-                    shard.advance(deadline)
-                metrics = shard.summary()
-        else:
+        with _timing.activate(profiler) if profiler is not None else nullcontext():
             for deadline in config.ticks():
                 shard.advance(deadline)
             metrics = shard.summary()
         spans = shard.span_dicts() if trace else []
     finally:
         shard.close()
-    return metrics, spans, profiler.aggregates() if profiler else {}
+    return metrics, spans, profiler.aggregates() if profiler is not None else {}

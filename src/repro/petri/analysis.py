@@ -741,17 +741,19 @@ def _null_space(
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         pivot_value = rows[rank][col]
         rows[rank] = [value / pivot_value for value in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [
-                    value - factor * pivot
-                    for value, pivot in zip(rows[r], rows[rank])
-                ]
+        # Incidence matrices are sparse: only the pivot row's nonzero
+        # columns can change another row.
+        pivot = [(c, value) for c, value in enumerate(rows[rank]) if value != 0]
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != rank and factor != 0:
+                for c, value in pivot:
+                    row[c] -= factor * value
         pivot_cols.append(col)
         rank += 1
+    pivot_set = set(pivot_cols)
     basis = []
-    for free in (c for c in range(columns) if c not in pivot_cols):
+    for free in (c for c in range(columns) if c not in pivot_set):
         vector = [Fraction(0)] * columns
         vector[free] = Fraction(1)
         for r, pivot_col in enumerate(pivot_cols):

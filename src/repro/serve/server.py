@@ -45,6 +45,7 @@ docs/SERVING.md):
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -119,6 +120,11 @@ class ServeConfig:
             raise ServeError(
                 f"serve hosts the four FCM mode policies; {error}"
             ) from None
+        for name in ("speed", "tick", "handshake_timeout", "close_grace",
+                     "idle_timeout", "round_timeout"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ServeError(f"{name} must be finite, got {value!r}")
         if self.speed <= 0:
             raise ServeError(f"speed must be positive, got {self.speed!r}")
         if self.tick <= 0:

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.modes import FCMMode
 from repro.api.policies import ArbitratedPolicy, PolicyDriver, make_policy
 from repro.engine import (
-    ColumnarLog,
     CompiledEngine,
     CompiledFIFO,
     CompiledFreeForAll,
@@ -289,32 +288,6 @@ def test_baselines_refuse_non_finite_times(engine, name, call, now):
     with pytest.raises(FloorControlError, match="floor time must be finite"):
         BASELINE_CALLS[call](policy, now)
     assert state() == before
-
-
-# ----------------------------------------------------------------------
-# Log backends
-# ----------------------------------------------------------------------
-def test_numpy_backend_byte_identical():
-    numpy = pytest.importorskip("numpy")
-    assert numpy is not None
-    events = generate(
-        "seminar",
-        WorkloadConfig(members=10, duration=120.0, seed=19, request_rate=3.0),
-    )
-    plain = compile_policy("equal_control", numpy=False)
-    vectored = compile_policy("equal_control", numpy=True)
-    drive_per_call(plain, events)
-    drive_per_call(vectored, events)
-    assert transcript(plain.events()) == transcript(vectored.events())
-
-
-def test_numpy_env_flag_controls_default(monkeypatch):
-    pytest.importorskip("numpy")
-    monkeypatch.setenv("REPRO_ENGINE_NUMPY", "1")
-    log = ColumnarLog(["teacher"], ["session"], "equal_control")
-    assert log.numpy_backed
-    monkeypatch.setenv("REPRO_ENGINE_NUMPY", "0")
-    assert not ColumnarLog(["teacher"], ["session"], "equal_control").numpy_backed
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 from repro.api.config import ParticipantSpec, SessionBuilder, SessionConfig
 from repro.api.session import Session
 from repro.api.scenario import Scenario
-from repro.engine import CompiledArbitrator
 from repro.errors import ReproError, SessionError
 from repro.experiments.runner import run_sweep
 from repro.experiments.spec import (
@@ -33,15 +32,6 @@ def test_builder_sets_engine():
     config = SessionBuilder().engine("compiled").config()
     assert config.engine == "compiled"
     assert SessionBuilder().config().engine == "reference"
-
-
-def test_compiled_session_swaps_arbitrator():
-    with SessionBuilder().engine("compiled").build() as session:
-        assert isinstance(session.server.control.arbitrator, CompiledArbitrator)
-    with SessionBuilder().build() as session:
-        assert not isinstance(
-            session.server.control.arbitrator, CompiledArbitrator
-        )
 
 
 def run_facade(engine, tmp_path, policy: str = "equal_control", seed: int = 21):

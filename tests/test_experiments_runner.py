@@ -1,5 +1,7 @@
 """Tests for sweep execution: runners, parallelism, determinism."""
 
+import math
+
 import pytest
 
 from repro.errors import ReproError
@@ -221,6 +223,17 @@ class TestSessionRunner:
     def test_non_numeric_parameter_value_rejected(self):
         spec = SweepSpec(name="bad", base={"duration": "abc"})
         with pytest.raises(ReproError, match="duration"):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_value_rejected(self, value):
+        spec = SweepSpec(
+            name="bad",
+            base={"policy": "fifo", "duration": 3.0, "request_rate": value},
+        )
+        with pytest.raises(
+            ReproError, match="cell 'default': parameter 'request_rate' must be finite"
+        ):
             run_sweep(spec)
 
     def test_cells_declare_whether_the_network_was_modeled(self):

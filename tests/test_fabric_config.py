@@ -1,5 +1,7 @@
 """Tests for fleet configuration: validation, seeds, shards, ticks."""
 
+import math
+
 import pytest
 
 from repro.errors import ReproError
@@ -32,6 +34,17 @@ class TestValidation:
             config = FleetConfig(**{field: value})
         with pytest.raises(ReproError):
             config.validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "duration", "tick", "mean_hold", "request_rate", "latency",
+        "partition_start", "partition_duration",
+    ])
+    def test_non_finite_numbers_rejected(self, field, value):
+        # An infinite duration would tick forever and a NaN rate would
+        # run a fleet that never requests; both are refused up front.
+        with pytest.raises(ReproError, match=f"{field} must be finite"):
+            FleetConfig(**{field: value}).validate()
 
     def test_partition_needs_start(self):
         with pytest.raises(ReproError):

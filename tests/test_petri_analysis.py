@@ -685,11 +685,12 @@ def basis_items(basis):
     return [list(vector.items()) for vector in basis]
 
 
-#: Every repository net but the 32-item presentations, whose rational
-#: elimination takes seconds per net (twice over with the oracle).
+#: Every repository net but four of the five 32-item presentations:
+#: the dense oracles take about a second on each of them, and one
+#: (101 places x 96 transitions) is enough to pin the sparse updates.
 INVARIANT_NETS = [
     (name, factory) for name, factory in repo_nets()
-    if not name.startswith("random-32")
+    if not name.startswith("random-32") or name == "random-32-0"
 ]
 
 

@@ -1,6 +1,7 @@
 """SessionServer behaviour: live dispatch, lockstep determinism, hooks."""
 
 import asyncio
+import math
 
 import pytest
 
@@ -33,6 +34,15 @@ class TestConfig:
     def test_rejects_bad_watermarks(self):
         with pytest.raises(ServeError, match="watermarks"):
             ServeConfig(queue_high=4, queue_low=9).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "speed", "tick", "handshake_timeout", "close_grace",
+        "idle_timeout", "round_timeout",
+    ])
+    def test_rejects_non_finite_numbers(self, field, value):
+        with pytest.raises(ServeError, match=f"{field} must be finite"):
+            ServeConfig(**{field: value}).validate()
 
 
 class TestLive:
