@@ -38,10 +38,13 @@ from .timed import TimedPlaceMap
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..temporal.intervals import Relation
 
-__all__ = ["Block", "OCPN"]
+__all__ = ["Block", "EPSILON", "OCPN"]
 
-#: Delay epsilon under which delay places are elided entirely.
-_ZERO = 1e-12
+#: Durations at or below this count as zero: shorter delay places are
+#: elided, and :meth:`OCPN.relate` refuses a relation that leaves no
+#: more slack than this.  ``PresentationSpec.relate`` refuses by the
+#: same margin, so it never accepts durations that the compiler refuses.
+EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,7 @@ class OCPN:
                 self.media_block(media_b, duration_b),
             )
         if base is Relation.EQUALS:
-            if abs(duration_a - duration_b) > _ZERO:
+            if abs(duration_a - duration_b) > EPSILON:
                 raise TemporalError(
                     f"EQUALS requires equal durations, got "
                     f"{duration_a!r} and {duration_b!r}"
@@ -206,7 +209,7 @@ class OCPN:
         )
 
     def _build_starts(self, media_a: str, da: float, media_b: str, db: float) -> Block:
-        if da >= db - _ZERO:
+        if da >= db - EPSILON:
             raise TemporalError(
                 f"STARTS requires duration_a < duration_b, got {da!r} >= {db!r}"
             )
@@ -214,7 +217,7 @@ class OCPN:
         return self.par(padded_a, self.media_block(media_b, db))
 
     def _build_finishes(self, media_a: str, da: float, media_b: str, db: float) -> Block:
-        if da >= db - _ZERO:
+        if da >= db - EPSILON:
             raise TemporalError(
                 f"FINISHES requires duration_a < duration_b, got {da!r} >= {db!r}"
             )
@@ -227,7 +230,7 @@ class OCPN:
         if offset <= 0:
             raise TemporalError(f"DURING requires a positive offset, got {offset!r}")
         tail = db - da - offset
-        if tail <= _ZERO:
+        if tail <= EPSILON:
             raise TemporalError(
                 f"DURING requires offset + duration_a < duration_b "
                 f"({offset!r} + {da!r} vs {db!r})"
@@ -250,14 +253,14 @@ class OCPN:
 
             t0 -> a1 -> t1 -> { a2 || b1 } -> t2 -> b2 -> t3
         """
-        if not (0 < offset < da - _ZERO):
+        if not (0 < offset < da - EPSILON):
             raise TemporalError(
                 f"OVERLAPS requires 0 < offset < duration_a, got "
                 f"offset={offset!r}, duration_a={da!r}"
             )
         shared = da - offset
         tail = db - shared
-        if tail <= _ZERO:
+        if tail <= EPSILON:
             raise TemporalError(
                 f"OVERLAPS requires duration_b > duration_a - offset "
                 f"({db!r} vs {da!r} - {offset!r})"
@@ -336,7 +339,7 @@ class OCPN:
         name = f"{prefix}#{next(self._ids)}"
         label = media[0] if media else None
         self.net.add_place(name, label=label)
-        if duration > _ZERO:
+        if duration > EPSILON:
             self.durations.set(name, duration)
         if media is not None:
             self.media_of_place[name] = media

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from ..errors import InconsistentSpecError, TemporalError
 from ..media.objects import MediaObject
+from ..petri.ocpn import EPSILON
 from .intervals import Relation
 
 __all__ = ["Constraint", "PresentationSpec"]
@@ -134,27 +135,31 @@ class PresentationSpec:
     def _check_feasible(
         self, first: str, second: str, relation: Relation, offset: float
     ) -> None:
+        """Refuse what :meth:`OCPN.relate` would refuse, by the same
+        :data:`~repro.petri.ocpn.EPSILON` margin, on the same differences."""
         da = self._media[first].duration
         db = self._media[second].duration
         base, swapped = relation.normalized()
         if swapped:
             da, db = db, da
-        if base is Relation.EQUALS and abs(da - db) > 1e-9:
+        if base is Relation.EQUALS and abs(da - db) > EPSILON:
             raise InconsistentSpecError(
                 f"{first!r} EQUALS {second!r} needs equal durations "
                 f"({da} vs {db})"
             )
-        if base in (Relation.STARTS, Relation.FINISHES) and da >= db:
+        if base in (Relation.STARTS, Relation.FINISHES) and da >= db - EPSILON:
             raise InconsistentSpecError(
                 f"{first!r} {base.value} {second!r} needs the contained "
                 f"item to be shorter ({da} vs {db})"
             )
-        if base is Relation.DURING and (offset <= 0 or offset + da >= db):
+        if base is Relation.DURING and (offset <= 0 or db - da - offset <= EPSILON):
             raise InconsistentSpecError(
                 f"DURING needs 0 < offset and offset + inner < outer "
                 f"(offset={offset}, inner={da}, outer={db})"
             )
-        if base is Relation.OVERLAPS and not (0 < offset < da and db > da - offset):
+        if base is Relation.OVERLAPS and not (
+            0 < offset < da - EPSILON and db - (da - offset) > EPSILON
+        ):
             raise InconsistentSpecError(
                 f"OVERLAPS needs 0 < offset < {da} and second longer than "
                 f"the shared tail (offset={offset}, db={db})"
