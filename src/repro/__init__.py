@@ -48,8 +48,8 @@ docstring of :mod:`repro.session`.
 
 __version__ = "1.0.0"
 
-from . import clock, core, events, media, net, petri, session, temporal, workload
-from . import api, check
+import importlib
+
 from .errors import ReproError
 
 __all__ = [
@@ -67,3 +67,12 @@ __all__ = [
     "temporal",
     "workload",
 ]
+
+
+def __getattr__(name: str):
+    """Import a subpackage of ``__all__`` on first use (PEP 562), so
+    ``import repro.check`` loads what the checker needs and not, say,
+    the asyncio session bridge."""
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

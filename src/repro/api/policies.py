@@ -414,15 +414,20 @@ class FreeForAllPolicy(_LoggedBaseline):
 
 
 class PolicyDriver:
-    """Feed one workload event stream to one built-in policy.
+    """Feed one workload stream to one built-in policy.
 
     The single request/release/post loop behind fleet sessions and
-    bare-policy sweep cells.  Consecutive requests go to the policy
-    together through ``request_batch``; a release first decides the
-    pending requests, so decisions match calling ``request`` and
-    ``release`` per event.  Posts never touch the policy; they are only
-    counted.  Requests and services (grants and token hand-offs) feed
-    ``fold``'s :meth:`~repro.metrics.fold.MetricsFold.requested` /
+    bare-policy sweep cells.  The workload is an iterable of plain
+    ``(time, member, action)`` rows in chronological order — what
+    :func:`repro.fabric.workload.stream_rows` yields; a list of
+    :class:`~repro.workload.generator.RequestEvent` converts once with
+    ``[(e.time, e.member, e.action) for e in events]``.  Consecutive
+    requests go to the policy together through ``request_batch``; a
+    release first decides the pending requests, so decisions match
+    calling ``request`` and ``release`` per event.  Posts never touch
+    the policy; they are only counted.  Requests and services (grants
+    and token hand-offs) feed ``fold``'s
+    :meth:`~repro.metrics.fold.MetricsFold.requested` /
     :meth:`~repro.metrics.fold.MetricsFold.serve` primitives; the
     grant/queue split is the policy's own ``stats``.
     """
@@ -447,25 +452,25 @@ class PolicyDriver:
         stream = self._stream
         batch: list[tuple[str, float]] = []
         consumed = posts = 0
-        event = self._next
-        while event is not None and event.time <= until:
+        row = self._next
+        while row is not None and row[0] <= until:
+            when, member, action = row
             consumed += 1
-            action = event.action
             if action == "request":
-                batch.append((event.member, event.time))
+                batch.append((member, when))
             elif action == "release":
                 if batch:
                     self._decide(batch)
                     batch = []
-                served = policy.release(event.member, event.time)
+                served = policy.release(member, when)
                 if served:
-                    fold.serve(served, event.time)
+                    fold.serve(served, when)
             else:  # post
                 posts += 1
-            event = next(stream, None)
+            row = next(stream, None)
         if batch:
             self._decide(batch)
-        self._next = event
+        self._next = row
         self.events += consumed
         self.posts += posts
         return consumed

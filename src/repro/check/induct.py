@@ -161,19 +161,19 @@ def feasible_point(
             return None
         pivot = tableau[leaving][entering]
         tableau[leaving] = [value / pivot for value in tableau[leaving]]
+        # Rows are mostly zero: subtract only the pivot row's nonzero
+        # columns, in place (every tableau row is its own list).
+        nonzero = [(j, value) for j, value in enumerate(tableau[leaving]) if value]
         for i in range(num_rows):
-            if i != leaving and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [
-                    value - factor * pivot_value
-                    for value, pivot_value in zip(tableau[i], tableau[leaving])
-                ]
-        if objective[entering] != 0:
-            factor = objective[entering]
-            objective = [
-                value - factor * pivot_value
-                for value, pivot_value in zip(objective, tableau[leaving])
-            ]
+            row = tableau[i]
+            factor = row[entering]
+            if i != leaving and factor != 0:
+                for j, pivot_value in nonzero:
+                    row[j] -= factor * pivot_value
+        factor = objective[entering]
+        if factor != 0:
+            for j, pivot_value in nonzero:
+                objective[j] -= factor * pivot_value
         basis[leaving] = entering
 
     infeasibility = -objective[-1]

@@ -773,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--shards", type=int, default=1,
                        help="shared-nothing shards the fleet splits into")
     fleet.add_argument("--workers", type=int, default=1,
-                       help="worker processes (1 = serial lockstep)")
+                       help="worker processes (1 = serial)")
     fleet.add_argument("--members", type=int, default=4,
                        help="participants per session")
     fleet.add_argument("--policy", default="equal_control",

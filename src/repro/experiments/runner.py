@@ -309,11 +309,12 @@ def run_policy_cell(cell: Cell) -> Mapping[str, float]:
         engine=str(_cell_value(cell, "engine")),
     )
     events, members, config = _workload(cell)
+    rows = [(event.time, event.member, event.action) for event in events]
     # No FloorEvent objects in this loop, so the kernel is fed through
     # its low-level requested/serve primitives — same pairing, same
     # fairness population, same bytes as the session runner's
     # subscription-fed fold.
-    driver = PolicyDriver(policy, MetricsFold(mode="exact", members=members), events)
+    driver = PolicyDriver(policy, MetricsFold(mode="exact", members=members), rows)
     driver.advance(math.inf)
     fold = driver.fold
     stats = policy.stats

@@ -7,10 +7,11 @@ independent DMPS sessions at once:
 * :class:`~repro.fabric.config.FleetConfig` /
   :class:`~repro.fabric.config.FleetBuilder` describe a fleet the way
   :class:`~repro.api.config.SessionBuilder` describes one session;
-* :class:`~repro.fabric.fleet.Fleet` advances every session in
-  lockstep ticks on one logical clock (the deadlines of
-  :meth:`~repro.fabric.config.FleetConfig.ticks`), batching
-  arbitration decisions per tick;
+* :class:`~repro.fabric.fleet.Fleet` advances every session through
+  the same tick deadlines of one logical clock
+  (:meth:`~repro.fabric.config.FleetConfig.ticks`), batching
+  arbitration decisions per tick; a shard takes its sessions one at a
+  time through every deadline, since sessions share nothing;
 * sessions are sharded across worker processes (shared-nothing,
   assignment stable under fleet growth, per-session seeds derived from
   the root seed exactly like the sweep engine), and

@@ -1,12 +1,16 @@
 """The fleet: N sessions, one logical clock, K shards, one fold.
 
 The logical clock is the lockstep tick schedule
-:meth:`~repro.fabric.config.FleetConfig.ticks`.  Serial execution
-(:class:`Fleet`) walks those deadlines and advances all shards at each
-one.  Sharded execution (:func:`run_fleet` with ``workers > 1``) sends
-whole shards to worker processes; each worker walks the *same*
-deadlines (:func:`~repro.fabric.shard.run_shard_traced`) and returns a
-single :class:`~repro.metrics.aggregate.FleetMetrics` fold.
+:meth:`~repro.fabric.config.FleetConfig.ticks`; the lockstep guarantee
+is per session: every session consumes the same tick windows in every
+execution.  Serial execution (:class:`Fleet`) hands each shard all
+deadlines at once, and the shard takes its sessions one at a time
+through them (or, with ``on_tick``, advances every shard one deadline
+at a time).  Sharded execution (:func:`run_fleet` with
+``workers > 1``) sends whole shards to worker processes; each worker
+takes the *same* deadlines (:func:`~repro.fabric.shard.run_shard_traced`)
+and returns a single :class:`~repro.metrics.aggregate.FleetMetrics`
+fold.
 
 Because every fold component is an exact commutative integer merge,
 the aggregate is bit-identical whatever the worker count or completion
@@ -130,13 +134,16 @@ class FleetResult:
 
 
 class Fleet:
-    """Serial lockstep engine: every shard advanced at each deadline
-    of :meth:`~repro.fabric.config.FleetConfig.ticks`.
+    """Serial engine: every shard advanced through the deadlines of
+    :meth:`~repro.fabric.config.FleetConfig.ticks`, one session at a
+    time.
 
-    ``on_tick(deadline, events_so_far, fleet)`` fires after each
-    lockstep tick; callers wanting streaming metrics call
-    :meth:`snapshot` from there (it folds shard summaries on demand —
-    nothing is buffered between ticks).
+    ``on_tick(deadline, events_so_far, fleet)`` fires after each tick;
+    with it, every shard advances one deadline at a time so the
+    callback sees the whole fleet at that tick.  Callers wanting
+    streaming metrics call :meth:`snapshot` from there (it folds shard
+    summaries on demand — nothing is buffered between ticks).  Either
+    order gives every session the same tick windows, so the same fold.
     """
 
     def __init__(
@@ -164,9 +171,13 @@ class Fleet:
         """Drive the whole fleet to ``config.duration``; fold; close."""
         started = time.perf_counter()
         spans: list[dict[str, Any]] = []
+        ticks = tuple(self.config.ticks())
+        # One window of every deadline (session-major), or one window
+        # per deadline when ``on_tick`` reads the fleet between ticks.
+        windows = [ticks] if self._on_tick is None else [(d,) for d in ticks]
         try:
-            for deadline in self.config.ticks():
-                self._tick(deadline)
+            for window in windows:
+                self._advance(window)
             metrics = self.snapshot()
             if self._trace:
                 # Collected before teardown: span ids derive from each
@@ -191,11 +202,11 @@ class Fleet:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _tick(self, deadline: float) -> None:
+    def _advance(self, deadlines: tuple[float, ...]) -> None:
         for shard in self.shards:
-            self._events += shard.advance(deadline)
+            self._events += shard.advance(*deadlines)
         if self._on_tick is not None:
-            self._on_tick(deadline, self._events, self)
+            self._on_tick(deadlines[-1], self._events, self)
 
 
 def run_fleet(
@@ -209,11 +220,10 @@ def run_fleet(
 ) -> FleetResult:
     """Run a fleet serially or across worker processes.
 
-    ``workers <= 1`` (or a single shard) runs the serial lockstep
-    engine.  Otherwise each shard runs in a worker process and the
-    per-shard folds merge incrementally as they complete — the merge
-    is exact and commutative, so the result is byte-identical to the
-    serial run.  ``on_tick`` only fires on the serial path (worker
+    ``workers <= 1`` (or a single shard) runs the serial engine.
+    Otherwise each shard runs in a worker process and the per-shard
+    folds merge incrementally as they complete — the merge is exact and
+    commutative, so the result is byte-identical to the serial run.  ``on_tick`` only fires on the serial path (worker
     shards are shared-nothing by design).
 
     The three observability knobs are execution parameters — they

@@ -43,7 +43,7 @@ from ..engine import make_engine_policy
 from ..metrics import FleetMetrics, MetricsFold
 from ..workload.generator import WorkloadConfig
 from .config import FleetConfig
-from .workload import stream_workload
+from .workload import stream_rows
 
 __all__ = ["FacadeFleetSession", "FleetSession", "make_session"]
 
@@ -84,7 +84,7 @@ class FleetSession:
         self._driver = PolicyDriver(
             self.policy,
             MetricsFold(mode="fold"),
-            stream_workload(config.scenario, _workload(index, config)),
+            stream_rows(config.scenario, _workload(index, config)),
         )
 
     # ------------------------------------------------------------------

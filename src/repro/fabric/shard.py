@@ -6,14 +6,16 @@ assignment is stable under fleet growth — adding sessions never moves
 an existing session between shards.  Shards share *nothing*: each
 session carries its own policy state, workload stream and ring-bounded
 transcript, which is why worker processes need no coordination beyond
-the lockstep tick schedule and one summary message at the end.
+the tick schedule and one summary message at the end, and why a shard
+may take its sessions one at a time through every deadline.
 
 :func:`run_shard_traced` is the module-level worker entry point
 (:class:`~concurrent.futures.ProcessPoolExecutor` sends it by pickled
-reference); it walks the same tick deadlines the serial
-:class:`~repro.fabric.fleet.Fleet` drives, so both executions consume
-identical event windows — the root of the serial/sharded
-byte-identity guarantee.  :func:`run_shard` is its fold-only form.
+reference); it takes the same tick deadlines the serial
+:class:`~repro.fabric.fleet.Fleet` drives, so every session consumes
+identical event windows in both executions — the root of the
+serial/sharded byte-identity guarantee.  :func:`run_shard` is its
+fold-only form.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ __all__ = ["Shard", "run_shard", "run_shard_traced"]
 
 
 class Shard:
-    """One shard of a fleet: the sessions it owns, advanced in lockstep."""
+    """One shard of a fleet: the sessions it owns, each advanced
+    through the same tick deadlines."""
 
     def __init__(self, shard_index: int, config: FleetConfig) -> None:
         self.shard_index = shard_index
@@ -42,9 +45,22 @@ class Shard:
         ]
         self._closed = False
 
-    def advance(self, until: float) -> int:
-        """Advance every owned session to ``until``; returns events run."""
-        return sum(session.advance(until) for session in self.sessions)
+    def advance(self, *deadlines: float) -> int:
+        """Advance every owned session through ``deadlines``, in order;
+        returns events run.
+
+        Session-major: one session takes every deadline before the
+        next session starts, so its policy, fold and stream state stay
+        warm in cache.  Sessions share nothing, so each still receives
+        the same ``advance(deadline)`` calls in the same order as when
+        the shard is advanced one deadline at a time.
+        """
+        events = 0
+        for session in self.sessions:
+            advance = session.advance
+            for deadline in deadlines:
+                events += advance(deadline)
+        return events
 
     def summary(self) -> FleetMetrics:
         """Fold the owned sessions into one mergeable aggregate.
@@ -117,8 +133,7 @@ def run_shard_traced(
     shard = Shard(shard_index, config)
     try:
         with _timing.activate(profiler) if profiler is not None else nullcontext():
-            for deadline in config.ticks():
-                shard.advance(deadline)
+            shard.advance(*config.ticks())
             metrics = shard.summary()
         spans = shard.span_dicts() if trace else []
     finally:

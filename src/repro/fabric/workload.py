@@ -3,28 +3,34 @@
 The eager generators in :mod:`repro.workload.generator` materialize a
 full event list — fine for one session, but a fleet of 10k sessions ×
 a long duration would buffer O(fleet × events).  This module yields
-the same :class:`~repro.workload.generator.RequestEvent` items
-incrementally, holding only per-stream generator state, which is what
-keeps a fleet run's memory flat in simulated time.
+the same workloads incrementally, holding only per-stream generator
+state, which is what keeps a fleet run's memory flat in simulated time.
 
 Fidelity contract, pinned by tests:
 
+* the fleet reads plain ``(time, member, action)`` rows
+  (:func:`stream_rows`); no :class:`~repro.workload.generator.RequestEvent`
+  is built on that path;
+* :func:`stream_workload` adapts the same rows to ``RequestEvent``
+  items, with the ``mode`` and ``content`` each scenario gives them,
+  for callers of the public API;
 * ``seminar`` and ``storm`` are the sequences of
   ``generate(name, config)`` (the same generators; seminar streams
   lazily, storm is O(members) by construction);
 * ``lecture`` and ``panel`` are lazy variants that split the single
   eager RNG into one seeded RNG per participant stream (derived via
-  :func:`~repro.experiments.spec.derive_seed`) and heap-merge the
-  streams chronologically.  They are deterministic for a given config
-  but are *distinct sequences* from the eager generators — the eager
-  path interleaves one RNG across members, which cannot be reproduced
-  without materializing the list.
+  :func:`~repro.experiments.spec.derive_seed`) and merge the streams
+  through one heap ordered by ``(time, stream index)``: rows due at
+  the same instant keep stream order.  They are deterministic for a
+  given config but are *distinct sequences* from the eager generators
+  — the eager path interleaves one RNG across members, which cannot be
+  reproduced without materializing the list.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
+from heapq import heapify, heappop, heapreplace
 from typing import Iterator
 
 from ..core.modes import FCMMode
@@ -33,12 +39,16 @@ from ..experiments.spec import derive_seed
 from ..workload.generator import (
     RequestEvent,
     WorkloadConfig,
-    _seminar,
-    generate,
+    _seminar_rows,
+    _storm_rows,
     member_names,
 )
 
-__all__ = ["stream_workload"]
+__all__ = ["Row", "stream_rows", "stream_workload"]
+
+#: One workload action: ``(time, member, action)``, where ``action`` is
+#: ``"request"``, ``"release"`` or ``"post"``.
+Row = tuple[float, str, str]
 
 
 def stream_workload(
@@ -51,10 +61,22 @@ def stream_workload(
     ReproError
         On an unknown scenario name.
     """
+    rows = stream_rows(scenario, config)
+    return (_event(scenario, *row) for row in rows)
+
+
+def stream_rows(scenario: str, config: WorkloadConfig) -> Iterator[Row]:
+    """Yield a named scenario's rows chronologically, lazily.
+
+    Raises
+    ------
+    ReproError
+        On an unknown scenario name.
+    """
     if scenario == "seminar":
-        return _seminar(config, random.Random(config.seed))  # as generate() seeds it
+        return _seminar_rows(config, random.Random(config.seed))  # as generate() seeds it
     if scenario == "storm":
-        return iter(generate("storm", config))
+        return iter(_storm_rows(config, random.Random(config.seed)))
     if scenario == "lecture":
         return _lecture(config)
     if scenario == "panel":
@@ -62,73 +84,89 @@ def stream_workload(
     raise ReproError(f"unknown workload scenario {scenario!r}")
 
 
+def _event(scenario: str, time: float, member: str, action: str) -> RequestEvent:
+    """A row as the ``RequestEvent`` the scenario's generator builds:
+    floor actions are equal control; only lecture and panel post."""
+    if action != "post":
+        return RequestEvent(time, member, action, FCMMode.EQUAL_CONTROL)
+    if scenario == "lecture":
+        return RequestEvent(time, member, action, FCMMode.EQUAL_CONTROL,
+                            f"slide@{time:.0f}")
+    return RequestEvent(time, member, action, FCMMode.FREE_ACCESS, "panel remark")
+
+
 def _stream_rng(config: WorkloadConfig, stream: str) -> random.Random:
     """One independent RNG per participant stream (lazy scenarios)."""
     return random.Random(derive_seed(config.seed, "fleet-workload", {"stream": stream}))
 
 
-def _merge(*streams: Iterator[RequestEvent]) -> Iterator[RequestEvent]:
-    """Chronological heap-merge; holds one pending event per stream."""
-    return heapq.merge(*streams, key=lambda event: event.time)
+def _merge(streams: list[Iterator[Row]]) -> Iterator[Row]:
+    """Chronological merge through one heap of ``(time, stream index,
+    row, stream)`` entries; holds one pending row per stream, and the
+    index breaks ties, so rows are never compared."""
+    heap = []
+    for index, stream in enumerate(streams):
+        row = next(stream, None)
+        if row is not None:
+            heap.append((row[0], index, row, stream))
+    heapify(heap)
+    while heap:
+        _, index, row, stream = heap[0]
+        yield row
+        row = next(stream, None)
+        if row is None:
+            heappop(heap)
+        else:
+            heapreplace(heap, (row[0], index, row, stream))
 
 
 # ----------------------------------------------------------------------
 # Lazy per-stream variants
 # ----------------------------------------------------------------------
-def _lecture(config: WorkloadConfig) -> Iterator[RequestEvent]:
-    def teacher_posts() -> Iterator[RequestEvent]:
-        rng = _stream_rng(config, "teacher")
-        t = 1.0
-        while t < config.duration:
-            yield RequestEvent(time=t, member="teacher", action="post",
-                               mode=FCMMode.EQUAL_CONTROL,
-                               content=f"slide@{t:.0f}")
-            t += rng.uniform(2.0, 6.0)
+def _lecture(config: WorkloadConfig) -> Iterator[Row]:
+    duration = config.duration
 
-    def student(name: str) -> Iterator[RequestEvent]:
-        rng = _stream_rng(config, name)
+    def teacher_posts() -> Iterator[Row]:
+        uniform = _stream_rng(config, "teacher").uniform
+        t = 1.0
+        while t < duration:
+            yield (t, "teacher", "post")
+            t += uniform(2.0, 6.0)
+
+    def student(name: str) -> Iterator[Row]:
+        expovariate = _stream_rng(config, name).expovariate
         per_member_rate = config.request_rate / 60.0
-        t = rng.expovariate(per_member_rate) if per_member_rate > 0 else config.duration
-        while t < config.duration:
-            yield RequestEvent(time=t, member=name, action="request",
-                               mode=FCMMode.EQUAL_CONTROL)
-            hold = rng.expovariate(1.0 / config.mean_hold)
-            release_at = min(t + hold, config.duration)
-            yield RequestEvent(time=release_at, member=name, action="release",
-                               mode=FCMMode.EQUAL_CONTROL)
-            t = release_at + rng.expovariate(per_member_rate)
+        t = expovariate(per_member_rate) if per_member_rate > 0 else duration
+        while t < duration:
+            yield (t, name, "request")
+            release_at = min(t + expovariate(1.0 / config.mean_hold), duration)
+            yield (release_at, name, "release")
+            t = release_at + expovariate(per_member_rate)
 
     streams = [teacher_posts()]
     streams += [student(name) for name in member_names(config.members)]
-    return _merge(*streams)
+    return _merge(streams)
 
 
-def _panel(config: WorkloadConfig) -> Iterator[RequestEvent]:
+def _panel(config: WorkloadConfig) -> Iterator[Row]:
     names = member_names(config.members)
     panel = names[: max(2, config.members // 4)]
     audience = names[len(panel):]
 
-    def panelist(name: str) -> Iterator[RequestEvent]:
+    def panelist(name: str) -> Iterator[Row]:
         rng = _stream_rng(config, name)
         t = rng.uniform(0.5, 3.0)
         while t < config.duration:
-            yield RequestEvent(time=t, member=name, action="post",
-                               mode=FCMMode.FREE_ACCESS, content="panel remark")
+            yield (t, name, "post")
             t += rng.uniform(1.0, 5.0)
 
-    def listener(name: str) -> Iterator[RequestEvent]:
+    def listener(name: str) -> Iterator[Row]:
         rng = _stream_rng(config, name)
         t = rng.uniform(5.0, config.duration)
         if t < config.duration:
-            yield RequestEvent(time=t, member=name, action="request",
-                               mode=FCMMode.EQUAL_CONTROL)
-            yield RequestEvent(
-                time=min(t + config.mean_hold, config.duration),
-                member=name,
-                action="release",
-                mode=FCMMode.EQUAL_CONTROL,
-            )
+            yield (t, name, "request")
+            yield (min(t + config.mean_hold, config.duration), name, "release")
 
     streams = [panelist(name) for name in panel]
     streams += [listener(name) for name in audience]
-    return _merge(*streams)
+    return _merge(streams)

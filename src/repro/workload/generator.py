@@ -130,19 +130,26 @@ def _lecture(config: WorkloadConfig, rng: random.Random) -> list[RequestEvent]:
 
 
 def _seminar(config: WorkloadConfig, rng: random.Random) -> Iterator[RequestEvent]:
+    for time, member, action in _seminar_rows(config, rng):
+        yield RequestEvent(time=time, member=member, action=action,
+                           mode=FCMMode.EQUAL_CONTROL)
+
+
+def _seminar_rows(
+    config: WorkloadConfig, rng: random.Random
+) -> Iterator[tuple[float, str, str]]:
     # Lazy: already chronological through one RNG, so the fleet streams
-    # it without buffering (repro.fabric.workload).
+    # it without buffering (repro.fabric.workload) as plain
+    # ``(time, member, action)`` rows.
     names = member_names(config.members)
     t = 1.0
     index = 0
     while t < config.duration:
         speaker = names[index % len(names)]
-        yield RequestEvent(time=t, member=speaker, action="request",
-                           mode=FCMMode.EQUAL_CONTROL)
+        yield (t, speaker, "request")
         hold = rng.uniform(0.5, 2.0) * config.mean_hold
         t = min(t + hold, config.duration)
-        yield RequestEvent(time=t, member=speaker, action="release",
-                           mode=FCMMode.EQUAL_CONTROL)
+        yield (t, speaker, "release")
         t += rng.uniform(0.1, 1.0)
         index += 1
 
@@ -180,14 +187,19 @@ def _panel(config: WorkloadConfig, rng: random.Random) -> list[RequestEvent]:
 
 
 def _storm(config: WorkloadConfig, rng: random.Random) -> list[RequestEvent]:
-    events = [
-        RequestEvent(
-            time=1.0 + rng.uniform(0.0, 0.01),
-            member=name,
-            action="request",
-            mode=FCMMode.EQUAL_CONTROL,
-        )
+    return [
+        RequestEvent(time=time, member=member, action=action,
+                     mode=FCMMode.EQUAL_CONTROL)
+        for time, member, action in _storm_rows(config, rng)
+    ]
+
+
+def _storm_rows(
+    config: WorkloadConfig, rng: random.Random
+) -> list[tuple[float, str, str]]:
+    rows = [
+        (1.0 + rng.uniform(0.0, 0.01), name, "request")
         for name in member_names(config.members)
     ]
-    events.sort(key=lambda event: event.time)
-    return events
+    rows.sort(key=lambda row: row[0])
+    return rows

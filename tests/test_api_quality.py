@@ -7,7 +7,11 @@ an ``__all__`` must actually exist.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,3 +104,30 @@ class TestExports:
     def test_top_level_subpackages_importable(self):
         for name in repro.__all__:
             assert hasattr(repro, name)
+
+
+class TestLazySubpackages:
+    def test_checker_import_leaves_the_session_stack_unloaded(self):
+        # A fresh interpreter: this process has imported everything.
+        code = "\n".join([
+            "import sys",
+            "import repro.check",
+            "loaded = {'repro.session', 'repro.api', 'asyncio'} & set(sys.modules)",
+            "assert not loaded, loaded",
+            "import repro",
+            "assert repro.api.Session.__name__ == 'Session'",
+            "namespace = {}",
+            "exec('from repro import *', namespace)",
+            "assert set(repro.__all__) <= set(namespace)",
+            "assert namespace['session'] is sys.modules['repro.session']",
+        ])
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            repro.not_a_subpackage

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.check import induct, run_suite
 from repro.check.explicit import check_explicit
 from repro.check.induct import (
     InductiveEngine,
@@ -20,8 +22,11 @@ from repro.check.props import DeadlockFree, Mutex, PlaceBound, Verdict
 from repro.core.modes import FCMMode
 from repro.errors import CheckError
 from repro.petri.net import PetriNet
+from test_petri_analysis import repo_nets
 
 F = Fraction
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class TestFeasiblePoint:
@@ -266,3 +271,217 @@ class TestCrossValidation:
         rhs = explicit.verdicts[0].verdict
         if Verdict.UNKNOWN not in (lhs, rhs):
             assert lhs is rhs, f"seed {seed}: {lhs} vs {rhs}"
+
+
+# ----------------------------------------------------------------------
+# Sparse pivots against the dense simplex they replaced
+# ----------------------------------------------------------------------
+def dense_feasible_point(num_vars, constraints):
+    """The phase-I simplex as it was before sparse pivots: every pivot
+    rewrites every column of every row.  Kept as the oracle."""
+    if num_vars < 0:
+        raise CheckError(f"num_vars must be >= 0, got {num_vars!r}")
+    # Normalize: dense rows, rhs >= 0.
+    rows = []
+    rels = []
+    rhs = []
+    for coeffs, relation, bound in constraints:
+        if relation not in ("<=", ">=", "=="):
+            raise CheckError(f"unknown constraint relation {relation!r}")
+        row = [ZERO] * num_vars
+        for index, value in coeffs.items():
+            if not 0 <= index < num_vars:
+                raise CheckError(
+                    f"constraint names variable {index}, have {num_vars}"
+                )
+            row[index] += Fraction(value)
+        bound = Fraction(bound)
+        if bound < 0:
+            row = [-value for value in row]
+            bound = -bound
+            relation = {"<=": ">=", ">=": "<=", "==": "=="}[relation]
+        rows.append(row)
+        rels.append(relation)
+        rhs.append(bound)
+
+    # Equality form: one slack per inequality, one artificial where the
+    # slack cannot serve as the initial basic variable.
+    num_rows = len(rows)
+    slack_of = [None] * num_rows
+    artificial_of = [None] * num_rows
+    next_col = num_vars
+    for i, relation in enumerate(rels):
+        if relation in ("<=", ">="):
+            slack_of[i] = next_col
+            next_col += 1
+        if relation in (">=", "=="):
+            artificial_of[i] = next_col
+            next_col += 1
+    total = next_col
+
+    tableau = []
+    basis = []
+    for i, row in enumerate(rows):
+        full = row + [ZERO] * (total - num_vars) + [rhs[i]]
+        if slack_of[i] is not None:
+            full[slack_of[i]] = ONE if rels[i] == "<=" else -ONE
+        if artificial_of[i] is not None:
+            full[artificial_of[i]] = ONE
+            basis.append(artificial_of[i])
+        else:
+            basis.append(slack_of[i])  # "<=" row: slack starts basic
+        tableau.append(full)
+
+    artificials = {col for col in artificial_of if col is not None}
+    if not artificials:
+        # Already feasible at the slack basis.
+        solution = [ZERO] * num_vars
+        for i, column in enumerate(basis):
+            if column < num_vars:
+                solution[column] = tableau[i][-1]
+        return solution
+
+    # Phase-I objective: minimize the sum of artificials.  Reduced-cost
+    # row starts as minus the sum of the artificial-basic rows.
+    objective = [ZERO] * (total + 1)
+    for i, column in enumerate(basis):
+        if column in artificials:
+            for j in range(total + 1):
+                objective[j] -= tableau[i][j]
+
+    while True:
+        entering = -1
+        for j in range(total):
+            if j in artificials:
+                continue  # never re-enter an artificial
+            if objective[j] < 0:
+                entering = j
+                break  # Bland: smallest index
+        if entering < 0:
+            break
+        leaving = -1
+        best = None
+        for i in range(num_rows):
+            coefficient = tableau[i][entering]
+            if coefficient > 0:
+                ratio = tableau[i][-1] / coefficient
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            # Unbounded phase-I direction cannot happen (costs >= 0),
+            # but guard against it rather than looping.
+            return None
+        pivot = tableau[leaving][entering]
+        tableau[leaving] = [value / pivot for value in tableau[leaving]]
+        for i in range(num_rows):
+            if i != leaving and tableau[i][entering] != 0:
+                factor = tableau[i][entering]
+                tableau[i] = [
+                    value - factor * pivot_value
+                    for value, pivot_value in zip(tableau[i], tableau[leaving])
+                ]
+        if objective[entering] != 0:
+            factor = objective[entering]
+            objective = [
+                value - factor * pivot_value
+                for value, pivot_value in zip(objective, tableau[leaving])
+            ]
+        basis[leaving] = entering
+
+    infeasibility = -objective[-1]
+    if infeasibility != 0:
+        return None
+    solution = [ZERO] * num_vars
+    for i, column in enumerate(basis):
+        if column < num_vars:
+            solution[column] = tableau[i][-1]
+    return solution
+
+
+def recorded_lps(monkeypatch, run):
+    """Every ``(num_vars, constraints)`` system ``run()`` hands to
+    :func:`feasible_point`."""
+    systems = []
+    solve = induct.feasible_point
+
+    def recording(num_vars, constraints):
+        systems.append((num_vars, list(constraints)))
+        return solve(num_vars, constraints)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(induct, "feasible_point", recording)
+        run()
+    return systems
+
+
+def place_bound_lps(monkeypatch, net):
+    """The invariant and state-equation LPs of a 1-bound on about four
+    places spread over the net, and of the initial token total on all
+    places."""
+    places = list(net.places)
+    properties = [({place: 1}, 1) for place in places[:: max(1, len(places) // 4)]]
+    properties.append(({place: 1 for place in places}, sum(net.marking().values())))
+    data = induct._linear_data(net)
+
+    def run():
+        for coeffs, bound in properties:
+            prove_by_invariant(net, coeffs, bound, _data=data)
+            refute_by_state_equation(net, coeffs, bound, _data=data)
+
+    return recorded_lps(monkeypatch, run)
+
+
+#: Repository nets for the dense oracle.  Two compiled 8-item
+#: presentations stand for the five (the oracle takes about a second
+#: on each); it takes minutes on a 32-item one (101 places).
+LP_NETS = [(name, factory) for name, factory in repo_nets()
+           if not name.startswith("random-") or name in ("random-8-0", "random-8-1")]
+
+
+@st.composite
+def lp_systems(draw):
+    """1-6 variables, 1-6 sparse integer constraints of any relation."""
+    num_vars = draw(st.integers(1, 6))
+    constraint = st.tuples(
+        st.dictionaries(st.integers(0, num_vars - 1), st.integers(-3, 3),
+                        max_size=num_vars),
+        st.sampled_from(("<=", ">=", "==")),
+        st.integers(-4, 4),
+    )
+    return num_vars, draw(st.lists(constraint, min_size=1, max_size=6))
+
+
+class TestSparsePivotOracle:
+    """The same vertex, not only the same verdict, as the dense body."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [factory for __, factory in LP_NETS],
+        ids=[name for name, __ in LP_NETS],
+    )
+    def test_repo_net_lps(self, factory, monkeypatch):
+        systems = place_bound_lps(monkeypatch, factory())
+        assert systems
+        for num_vars, constraints in systems:
+            assert feasible_point(num_vars, constraints) == dense_feasible_point(
+                num_vars, constraints
+            )
+
+    @pytest.mark.parametrize(
+        "suite, members", [("figure1", 3), ("floor_safety", 3), ("floor_safety", 6)]
+    )
+    def test_suite_lps(self, suite, members, monkeypatch):
+        systems = recorded_lps(monkeypatch, lambda: run_suite(suite, members=members))
+        assert any(feasible_point(*system) is not None for system in systems)
+        for num_vars, constraints in systems:
+            assert feasible_point(num_vars, constraints) == dense_feasible_point(
+                num_vars, constraints
+            )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(system=lp_systems())
+    def test_generated_systems(self, system):
+        assert feasible_point(*system) == dense_feasible_point(*system)

@@ -68,6 +68,11 @@ def floor_steps(events):
     return [event for event in events if event.action in ("request", "release")]
 
 
+def rows(events):
+    """Events as the ``(time, member, action)`` rows the driver reads."""
+    return [(event.time, event.member, event.action) for event in events]
+
+
 def transcript(events):
     return dumps_transcript(events, meta=build_meta(events))
 
@@ -144,7 +149,9 @@ def test_driver_matches_per_call_oracle(name, engine, workload):
     members = member_names(12)
     driven = make_engine_policy(name, engine=engine, log_capacity=capacity)
     recording = Recording(driven)
-    driver = PolicyDriver(recording, MetricsFold(mode="exact", members=members), events)
+    driver = PolicyDriver(
+        recording, MetricsFold(mode="exact", members=members), rows(events)
+    )
     assert driver.advance(math.inf) == len(events)
 
     per_call = make_engine_policy(name, engine=engine, log_capacity=capacity)
@@ -187,7 +194,7 @@ def test_batched_transcripts_byte_identical(name, workload):
     transcripts = []
     for engine in ENGINES:
         policy = make_engine_policy(name, engine=engine, log_capacity=capacity)
-        PolicyDriver(policy, MetricsFold(mode="fold"), events).advance(math.inf)
+        PolicyDriver(policy, MetricsFold(mode="fold"), rows(events)).advance(math.inf)
         transcripts.append((transcript(policy.events()), policy.evicted))
     assert transcripts[0] == transcripts[1]
 

@@ -1,9 +1,13 @@
 """Tests for the fleet fabric: determinism, sharding, sweep and CLI glue."""
 
+import heapq
 import inspect
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.modes import FCMMode
 from repro.errors import ReproError
 from repro.events import EventKind
 from repro.experiments import (
@@ -15,7 +19,7 @@ from repro.experiments import (
     runner_names,
     unregister_spec,
 )
-from repro.experiments.spec import Axis
+from repro.experiments.spec import Axis, derive_seed
 from repro.fabric import (
     Fleet,
     FleetBuilder,
@@ -28,7 +32,14 @@ from repro.fabric import (
     write_fleet_json,
 )
 from repro.fabric.session import make_session
-from repro.workload.generator import WorkloadConfig, generate
+from repro.fabric.workload import stream_rows
+from repro.trace import dumps_trace
+from repro.workload.generator import (
+    RequestEvent,
+    WorkloadConfig,
+    generate,
+    member_names,
+)
 
 
 def _config(**overrides) -> FleetConfig:
@@ -270,6 +281,164 @@ class TestLazyWorkloadStreams:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ReproError):
             next(stream_workload("opera", WorkloadConfig()))
+
+
+# ----------------------------------------------------------------------
+# The lazy lecture and panel streams as they were before rows:
+# RequestEvents merged by heapq.merge on time.  Kept as the oracle.
+# ----------------------------------------------------------------------
+def _stream_rng(config, stream):
+    return random.Random(derive_seed(config.seed, "fleet-workload", {"stream": stream}))
+
+
+def _merge(*streams):
+    return heapq.merge(*streams, key=lambda event: event.time)
+
+
+def _lecture(config):
+    def teacher_posts():
+        rng = _stream_rng(config, "teacher")
+        t = 1.0
+        while t < config.duration:
+            yield RequestEvent(time=t, member="teacher", action="post",
+                               mode=FCMMode.EQUAL_CONTROL,
+                               content=f"slide@{t:.0f}")
+            t += rng.uniform(2.0, 6.0)
+
+    def student(name):
+        rng = _stream_rng(config, name)
+        per_member_rate = config.request_rate / 60.0
+        t = rng.expovariate(per_member_rate) if per_member_rate > 0 else config.duration
+        while t < config.duration:
+            yield RequestEvent(time=t, member=name, action="request",
+                               mode=FCMMode.EQUAL_CONTROL)
+            hold = rng.expovariate(1.0 / config.mean_hold)
+            release_at = min(t + hold, config.duration)
+            yield RequestEvent(time=release_at, member=name, action="release",
+                               mode=FCMMode.EQUAL_CONTROL)
+            t = release_at + rng.expovariate(per_member_rate)
+
+    streams = [teacher_posts()]
+    streams += [student(name) for name in member_names(config.members)]
+    return _merge(*streams)
+
+
+def _panel(config):
+    names = member_names(config.members)
+    panel = names[: max(2, config.members // 4)]
+    audience = names[len(panel):]
+
+    def panelist(name):
+        rng = _stream_rng(config, name)
+        t = rng.uniform(0.5, 3.0)
+        while t < config.duration:
+            yield RequestEvent(time=t, member=name, action="post",
+                               mode=FCMMode.FREE_ACCESS, content="panel remark")
+            t += rng.uniform(1.0, 5.0)
+
+    def listener(name):
+        rng = _stream_rng(config, name)
+        t = rng.uniform(5.0, config.duration)
+        if t < config.duration:
+            yield RequestEvent(time=t, member=name, action="request",
+                               mode=FCMMode.EQUAL_CONTROL)
+            yield RequestEvent(
+                time=min(t + config.mean_hold, config.duration),
+                member=name,
+                action="release",
+                mode=FCMMode.EQUAL_CONTROL,
+            )
+
+    streams = [panelist(name) for name in panel]
+    streams += [listener(name) for name in audience]
+    return _merge(*streams)
+
+
+ORACLES = {"lecture": _lecture, "panel": _panel}
+
+
+def _rows(events):
+    return [(event.time, event.member, event.action) for event in events]
+
+
+@st.composite
+def stream_configs(draw):
+    """Short durations with long holds clamp many releases to
+    ``duration``, so rows tie across streams."""
+    return WorkloadConfig(
+        members=draw(st.integers(1, 12)),
+        duration=draw(st.sampled_from((3.0, 6.0, 20.0, 60.0))),
+        seed=draw(st.integers(0, 10_000)),
+        mean_hold=draw(st.sampled_from((0.5, 4.0, 30.0))),
+        request_rate=draw(st.sampled_from((0.0, 2.0, 12.0, 60.0))),
+    )
+
+
+class TestRowStreamsMatchEventOracle:
+    @pytest.mark.parametrize("scenario", ["lecture", "panel"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(config=stream_configs())
+    def test_streams_match_oracle(self, scenario, config):
+        expected = list(ORACLES[scenario](config))
+        assert list(stream_workload(scenario, config)) == expected
+        assert list(stream_rows(scenario, config)) == _rows(expected)
+
+    @pytest.mark.parametrize("scenario", ["lecture", "panel"])
+    def test_clamped_releases_tie_across_streams(self, scenario):
+        config = WorkloadConfig(members=12, duration=6.0, seed=3,
+                                mean_hold=30.0, request_rate=60.0)
+        expected = list(ORACLES[scenario](config))
+        clamped = {event.member for event in expected
+                   if event.action == "release" and event.time == config.duration}
+        assert len(clamped) > 2  # non-vacuous: streams really tie
+        assert list(stream_workload(scenario, config)) == expected
+        assert list(stream_rows(scenario, config)) == _rows(expected)
+
+    @pytest.mark.parametrize("scenario", ["seminar", "storm"])
+    def test_eager_scenario_rows_match_generate(self, scenario):
+        config = WorkloadConfig(members=6, duration=40.0, seed=9)
+        assert list(stream_rows(scenario, config)) == _rows(generate(scenario, config))
+
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ReproError):
+            stream_rows("opera", WorkloadConfig())
+
+
+class TestSessionMajorOrder:
+    """Session-major shards (the default), tick-major shards (``on_tick``)
+    and worker shards give the same fold and the same spans."""
+
+    #: ``(tick, ring capacity)`` pairs: ticks that do not divide the
+    #: duration, rings from one event up.  Ticks start at 1.0, where a
+    #: facade session's warm-up leaves its clock.
+    LAYOUTS = ((1.3, 1), (2.9, 2), (1.7, 7), (4.1, 64), (11.0, None))
+
+    @pytest.mark.parametrize("engine", ["batch", "compiled", "facade"])
+    @pytest.mark.parametrize("scenario", ["lecture", "seminar", "panel", "storm"])
+    def test_orders_agree(self, engine, scenario):
+        spans = 0
+        for tick, ring in self.LAYOUTS:
+            config = _config(sessions=5, shards=3, members=4, duration=9.0,
+                             request_rate=12.0, scenario=scenario,
+                             engine=engine, tick=tick, ring_capacity=ring)
+            snapshots = []
+
+            def on_tick(deadline, events, fleet):
+                snapshots.append(fleet.snapshot().requests)
+
+            runs = [
+                Fleet(config, trace=True).run(),
+                Fleet(config, on_tick=on_tick, trace=True).run(),
+                run_fleet(config, workers=2, trace=True),
+            ]
+            assert len(snapshots) == len(list(config.ticks()))
+            assert snapshots[-1] == runs[0].metrics.requests
+            folds = {repr(run.to_metrics()) for run in runs}
+            traces = {dumps_trace(run.spans, meta={"seed": config.seed})
+                      for run in runs}
+            assert len(folds) == 1 and len(traces) == 1
+            spans += len(runs[0].spans)
+        assert spans  # non-vacuous: the fleets really spanned
 
 
 class TestBatchedArbitration:
