@@ -184,9 +184,13 @@ def _cmd_demo_scenario(args: argparse.Namespace) -> int:
     if args.members < 1:
         print("error: --members must be at least 1", file=sys.stderr)
         return 2
-    config = WorkloadConfig(
-        members=args.members, duration=args.duration, seed=args.seed
-    )
+    try:
+        config = WorkloadConfig(
+            members=args.members, duration=args.duration, seed=args.seed
+        )
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     script = workload_scenario(args.name, config)
     if args.name == "lecture":
         # The lecture chair posts throughout: under equal control they

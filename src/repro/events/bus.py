@@ -177,12 +177,7 @@ class EventBus:
         ``data`` carries the structured payload fields
         (:meth:`~repro.events.types.FloorEvent.payload`).
         """
-        return self.publish(
-            FloorEvent(
-                time=time, kind=kind, member=member, group=group,
-                detail=detail, data=data,
-            )
-        )
+        return self.publish(FloorEvent(time, kind, member, group, detail, data))
 
     def publish(self, event: FloorEvent) -> FloorEvent:
         """Store an already-built event and dispatch it to listeners.
@@ -355,9 +350,20 @@ class EventBus:
             self._max_time = event.time
         else:
             self._monotonic = False
-        self._by_kind.setdefault(event.kind, deque()).append(event)
-        self._by_member.setdefault(event.member, deque()).append(event)
-        self._by_group.setdefault(event.group, deque()).append(event)
+        # A new deque only on an index miss: ``setdefault`` would build
+        # three per event.
+        try:
+            self._by_kind[event.kind].append(event)
+        except KeyError:
+            self._by_kind[event.kind] = deque((event,))
+        try:
+            self._by_member[event.member].append(event)
+        except KeyError:
+            self._by_member[event.member] = deque((event,))
+        try:
+            self._by_group[event.group].append(event)
+        except KeyError:
+            self._by_group[event.group] = deque((event,))
         if self.capacity is not None and len(self) > self.capacity:
             self._evict()
 

@@ -58,6 +58,9 @@ _ENCODER = json.JSONEncoder(
 #: ``NaN``, ``Infinity`` and ``-Infinity``; a transcript never holds
 #: them, because :func:`canonical_json` refuses to write them.
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+#: The decoder's scanner: one call decodes a value starting at an index
+#: and returns it with the index where the value ended.
+_SCAN_ONCE = _DECODER.scan_once
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,18 @@ def load_transcript(path: str | Path) -> TranscriptDocument:
 
 
 def _parse_line(source: Path, number: int, line: str) -> Any:
+    # Fast path: a canonical line is one value from its first character
+    # to its last, which is exactly what ``decode`` accepts without
+    # skipping whitespace.  Anything else (padding, a BOM, a refused
+    # token, trailing data, no value at all) takes ``decode``, so what
+    # is accepted and every error message stay ``decode``'s own.
+    try:
+        value, end = _SCAN_ONCE(line, 0)
+    except (StopIteration, ValueError):
+        pass
+    else:
+        if end == len(line):
+            return value
     try:
         return _DECODER.decode(line)
     except ValueError as error:

@@ -19,9 +19,10 @@ same typed surface.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from math import isfinite
+from reprlib import recursive_repr
 from types import MappingProxyType
 from typing import Any
 
@@ -129,25 +130,91 @@ def _str_or_none(data: Mapping[str, Any], key: str) -> str | None:
     return None if value is None else str(value)
 
 
-@dataclass(frozen=True)
+#: The record's fields, in constructor order.
+_FIELDS = ("time", "kind", "member", "group", "detail", "data")
+
+
 class FloorEvent:
     """One timestamped entry in the session transcript.
 
     ``detail`` remains the human-readable free-text column the CLI
     prints; ``data`` (optional, immutable) carries the structured
     fields :meth:`payload` exposes as a typed dataclass.
+
+    A ``__slots__`` record with a frozen dataclass's surface: keyword
+    or positional construction, equality over the class and every field
+    (``data`` included), a hash that leaves ``data`` out, the dataclass
+    ``repr``, and :class:`~dataclasses.FrozenInstanceError` on any
+    assignment.  It is built once per logged or loaded event, so
+    ``__init__`` stores each field through its slot descriptor, the one
+    write path ``__setattr__`` does not refuse.
     """
+
+    __slots__ = _FIELDS
+    __match_args__ = _FIELDS
 
     time: float
     kind: EventKind
     member: str
     group: str
-    detail: str = ""
-    data: Mapping[str, Any] | None = field(default=None, hash=False)
+    detail: str
+    data: Mapping[str, Any] | None
 
-    def __post_init__(self) -> None:
-        if self.data is not None and not isinstance(self.data, MappingProxyType):
-            object.__setattr__(self, "data", MappingProxyType(dict(self.data)))
+    def __init__(
+        self,
+        time: float,
+        kind: EventKind,
+        member: str,
+        group: str,
+        detail: str = "",
+        data: Mapping[str, Any] | None = None,
+    ) -> None:
+        _set_time(self, time)
+        _set_kind(self, kind)
+        _set_member(self, member)
+        _set_group(self, group)
+        _set_detail(self, detail)
+        if data is not None and type(data) is not MappingProxyType:
+            data = MappingProxyType(dict(data))
+        _set_data(self, data)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.time, self.kind, self.member, self.group, self.detail,
+            self.data,
+        ) == (
+            other.time, other.kind, other.member, other.group, other.detail,
+            other.data,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.time, self.kind, self.member, self.group, self.detail))
+
+    @recursive_repr()
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(time={self.time!r}, "
+            f"kind={self.kind!r}, member={self.member!r}, "
+            f"group={self.group!r}, detail={self.detail!r}, "
+            f"data={self.data!r})"
+        )
+
+    def __reduce__(self):
+        # ``data`` travels as a plain dict: a mappingproxy cannot be
+        # pickled, and the constructor wraps it again.
+        data = None if self.data is None else dict(self.data)
+        return (
+            type(self),
+            (self.time, self.kind, self.member, self.group, self.detail, data),
+        )
 
     # ------------------------------------------------------------------
     # Typed payloads
@@ -189,7 +256,9 @@ class FloorEvent:
             non-mapping ``data`` block, or a time that is not a finite
             number).
         """
-        if not isinstance(record, Mapping):
+        # ``type(...) is dict`` first: decoded transcripts hand in plain
+        # dicts, and the ABC check is the slow one.
+        if type(record) is not dict and not isinstance(record, Mapping):
             raise EventBusError(f"event record must be a mapping, got {record!r}")
         try:
             time = record["time"]
@@ -213,7 +282,11 @@ class FloorEvent:
             except ValueError:
                 raise EventBusError(f"unknown event kind {value!r}") from None
         data = record.get("data")
-        if data is not None and not isinstance(data, Mapping):
+        if (
+            data is not None
+            and type(data) is not dict
+            and not isinstance(data, Mapping)
+        ):
             raise EventBusError(
                 f"event data must be a mapping, got {data!r}"
             )
@@ -226,14 +299,20 @@ class FloorEvent:
                 ) from None
         if not isfinite(time):
             raise EventBusError(f"event time must be finite, got {time!r}")
-        return cls(
-            time,
-            kind,
-            str(member),
-            str(group),
-            str(record.get("detail", "")),
-            data,
-        )
+        detail = record.get("detail", "")
+        if type(member) is not str:
+            member = str(member)
+        if type(group) is not str:
+            group = str(group)
+        if type(detail) is not str:
+            detail = str(detail)
+        return cls(time, kind, member, group, detail, data)
+
+
+#: The slot descriptors' setters, bound once for ``FloorEvent.__init__``.
+(
+    _set_time, _set_kind, _set_member, _set_group, _set_detail, _set_data,
+) = (FloorEvent.__dict__[name].__set__ for name in _FIELDS)
 
 
 def _parse_request(event: FloorEvent) -> RequestPayload:

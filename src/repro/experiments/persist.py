@@ -32,7 +32,8 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import ReproError
-from .runner import SweepResult
+from .runner import CellResult, SweepResult
+from .spec import Cell, SweepSpec
 
 __all__ = [
     "SCHEMA",
@@ -41,6 +42,7 @@ __all__ = [
     "csv_text",
     "dumps",
     "load_document",
+    "one_cell_result",
     "to_document",
     "write_csv",
     "write_json",
@@ -50,6 +52,25 @@ __all__ = [
 SCHEMA = "repro-dmps/bench"
 #: Bump on any incompatible change to the document layout.
 SCHEMA_VERSION = 1
+
+
+def one_cell_result(
+    name: str,
+    runner: str,
+    params: dict[str, Any],
+    seed: int,
+    metrics: dict[str, float],
+) -> SweepResult:
+    """A run that is not a sweep (a fleet, a serve soak) as a synthetic
+    one-cell sweep result, so it persists through the same schema.
+
+    The one cell is named after ``runner``, and ``seed`` is the run's
+    actual root seed (not a derived one): the document says exactly
+    what reproduces it.
+    """
+    spec = SweepSpec(name=name, axes=(), base=params, runner=runner, root_seed=seed)
+    cell = Cell(index=0, cell_id=runner, params=params, seed=seed)
+    return SweepResult(spec=spec, results=(CellResult(cell=cell, metrics=metrics),))
 
 
 def to_document(result: SweepResult) -> dict[str, Any]:

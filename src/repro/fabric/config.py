@@ -27,6 +27,7 @@ from typing import Iterator
 from ..core.modes import FCMMode
 from ..errors import ReproError
 from ..experiments.spec import derive_seed
+from ..workload.generator import check_workload_rates
 
 __all__ = ["FleetBuilder", "FleetConfig"]
 
@@ -74,8 +75,8 @@ class FleetConfig:
 
     def validate(self) -> None:
         """Reject inconsistent fleets before any session is built."""
-        for name in ("duration", "tick", "mean_hold", "request_rate",
-                     "latency", "partition_start", "partition_duration"):
+        check_workload_rates(self)
+        for name in ("tick", "latency", "partition_start", "partition_duration"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ReproError(f"{name} must be finite, got {value!r}")

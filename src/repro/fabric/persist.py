@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..experiments.persist import write_json
-from ..experiments.runner import CellResult, SweepResult
-from ..experiments.spec import Cell, SweepSpec
+from ..experiments.persist import one_cell_result, write_json
+from ..experiments.runner import SweepResult
 from .fleet import FleetResult
 
 __all__ = ["fleet_result_to_sweep", "write_fleet_json"]
@@ -45,26 +44,17 @@ def fleet_result_to_sweep(
     name: str = "fleet",
     include_timing: bool = False,
 ) -> SweepResult:
-    """Wrap a fleet run as a synthetic one-cell sweep result.
-
-    The cell's recorded seed is the fleet's *actual* root seed (not a
-    derived one), so the document says exactly what reproduces it.
-    """
-    params = _config_params(result)
-    spec = SweepSpec(
-        name=name,
-        axes=(),
-        base=params,
-        runner="fleet",
-        root_seed=result.config.seed,
-    )
+    """Wrap a fleet run as a synthetic one-cell sweep result
+    (:func:`~repro.experiments.persist.one_cell_result`, runner
+    ``"fleet"``, the fleet's root seed)."""
     metrics = result.to_metrics()
     if include_timing:
         metrics["sessions_per_sec"] = result.sessions_per_sec
         metrics["events_per_sec"] = result.events_per_sec
         metrics["wall_seconds"] = result.wall_seconds
-    cell = Cell(index=0, cell_id="fleet", params=params, seed=result.config.seed)
-    return SweepResult(spec=spec, results=(CellResult(cell=cell, metrics=metrics),))
+    return one_cell_result(
+        name, "fleet", _config_params(result), result.config.seed, metrics
+    )
 
 
 def write_fleet_json(

@@ -188,7 +188,15 @@ class FacadeFleetSession:
     # Lockstep interface
     # ------------------------------------------------------------------
     def advance(self, until: float) -> int:
-        """Run the session's virtual time up to ``until``."""
+        """Run the session's virtual time up to ``until``.
+
+        A deadline before the session clock runs nothing: building the
+        session already ran its clock through the join warm-up, which a
+        sub-second fleet tick falls inside.  A deadline equal to now
+        still runs the events due then.
+        """
+        if until < self.session.now():
+            return 0
         return self.session.run_until(until)
 
     def summary(self) -> FleetMetrics:

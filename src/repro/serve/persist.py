@@ -16,9 +16,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from ..experiments.runner import CellResult, SweepResult
-from ..experiments.spec import Cell, SweepSpec
-from ..experiments.persist import write_json
+from ..experiments.persist import one_cell_result, write_json
+from ..experiments.runner import SweepResult
 from .soak import SoakResult
 
 __all__ = ["soak_result_to_sweep", "write_soak_json"]
@@ -46,22 +45,16 @@ def soak_result_to_sweep(
     name: str = "serve",
     include_timing: bool = False,
 ) -> SweepResult:
-    """Wrap a soak as a synthetic one-cell sweep result.
-
-    The cell's recorded seed is the soak's actual seed, so the document
-    states exactly what reproduces it.
-    """
-    params = _spec_params(result)
-    spec = SweepSpec(
-        name=name,
-        axes=(),
-        base=params,
-        runner="serve",
-        root_seed=result.spec.seed,
+    """Wrap a soak as a synthetic one-cell sweep result
+    (:func:`~repro.experiments.persist.one_cell_result`, runner
+    ``"serve"``, the soak's seed)."""
+    return one_cell_result(
+        name,
+        "serve",
+        _spec_params(result),
+        result.spec.seed,
+        result.to_metrics(include_timing=include_timing),
     )
-    metrics = result.to_metrics(include_timing=include_timing)
-    cell = Cell(index=0, cell_id="serve", params=params, seed=result.spec.seed)
-    return SweepResult(spec=spec, results=(CellResult(cell=cell, metrics=metrics),))
 
 
 def write_soak_json(

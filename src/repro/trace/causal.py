@@ -249,16 +249,15 @@ class CausalTracer:
         seq_map = self._seq if counters is None else counters
         seq = seq_map.get(key, 0)
         seq_map[key] = seq + 1
-        merged = dict(self.base_attrs)
-        if attrs:
-            merged.update(attrs)
+        # Every span owns its attrs dict; the base attrs (empty outside
+        # fleets) are copied only when there are some.
+        if self.base_attrs:
+            merged = dict(self.base_attrs)
+            if attrs:
+                merged.update(attrs)
+        else:
+            merged = dict(attrs) if attrs else {}
         return Span(
-            span_id=span_id(self.seed, key, seq),
-            name=name,
-            member=member,
-            group=group,
-            start=start,
-            end=end,
-            seq=seq,
-            attrs=merged,
+            span_id(self.seed, key, seq), name, member, group, start, end,
+            seq, merged,
         )

@@ -23,6 +23,7 @@ Scenarios
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -51,13 +52,47 @@ class RequestEvent:
 
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """Parameters shared by every scenario."""
+    """Parameters shared by every scenario.
+
+    Raises
+    ------
+    ReproError
+        At construction, on a non-finite ``duration``, ``mean_hold`` or
+        ``request_rate``, a ``mean_hold`` that is not positive (a hold
+        must move time forward) or a negative ``request_rate``.
+    """
 
     members: int = 8
     duration: float = 60.0
     seed: int = 0
     mean_hold: float = 4.0      # seconds a granted speaker keeps the floor
     request_rate: float = 0.5   # requests per member per minute (lecture)
+
+    def __post_init__(self) -> None:
+        check_workload_rates(self)
+
+
+def check_workload_rates(config) -> None:
+    """Refuse the ``duration``, ``mean_hold`` and ``request_rate`` a
+    workload cannot run on; ``config`` is any object with those three
+    attributes (a :class:`WorkloadConfig`, a fleet config).
+
+    Raises
+    ------
+    ReproError
+        On a non-finite value, a ``mean_hold`` that is not positive or
+        a negative ``request_rate``.
+    """
+    for name in ("duration", "mean_hold", "request_rate"):
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ReproError(f"{name} must be finite, got {value!r}")
+    if config.mean_hold <= 0:
+        raise ReproError(f"mean_hold must be positive, got {config.mean_hold!r}")
+    if config.request_rate < 0:
+        raise ReproError(
+            f"request_rate must be >= 0, got {config.request_rate!r}"
+        )
 
 
 def member_names(count: int) -> list[str]:

@@ -81,6 +81,13 @@ class TestCommands:
         assert main(args) == 0
         assert "session report" in capsys.readouterr().out
 
+    def test_demo_scenario_refuses_non_finite_duration(self, capsys):
+        args = ["demo", "scenario", "--name", "lecture", "--duration", "nan"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: duration must be finite, got nan\n"
+        )
+
     def test_demo_scenario_lecture_chair_posts_accepted(self, capsys):
         args = ["--seed", "3", "demo", "scenario", "--name", "lecture",
                 "--members", "4", "--duration", "30"]
@@ -234,6 +241,15 @@ class TestFleet:
     def test_bad_config_reported(self, capsys):
         assert main(["fleet", "--sessions", "0"]) == 2
         assert "session" in capsys.readouterr().err
+
+    def test_negative_request_rate_refused(self, tmp_path, capsys):
+        out = tmp_path / "BENCH_fleet.json"
+        assert main(["fleet", "--sessions", "2", "--duration", "20",
+                     "--request-rate", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: request_rate must be >= 0, got -1.0\n"
+        )
+        assert not out.exists()
 
     def test_smoke_preset(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

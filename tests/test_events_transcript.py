@@ -1,11 +1,15 @@
 """Tests for JSONL transcript persistence."""
 
 import json
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TranscriptError
+from repro.events import transcript
 from repro.events import (
     SCHEMA,
     SCHEMA_VERSION,
@@ -299,6 +303,69 @@ class TestLoaderMatchesPerLineJsonLoads:
             TranscriptError,
             f"{target}:{number}: not valid JSON ({token} is not a JSON value)",
         )
+
+
+def decode_parse_line(source, number, line):
+    """The loader's line decode before the scanner fast path: the strict
+    decoder's whole-line ``decode``, kept as the oracle."""
+    try:
+        return transcript._DECODER.decode(line)
+    except ValueError as error:
+        if line.startswith("\ufeff"):
+            error = json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+            )
+        raise TranscriptError(
+            f"{source}:{number}: not valid JSON ({error})"
+        ) from None
+
+
+#: Line shapes the scanner fast path must hand to ``decode``, or accept
+#: exactly as ``decode`` does (a shape with a newline is two lines).
+_event_lines = st.builds(
+    event_line,
+    time=st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.integers().map(str)),
+    detail=st.sampled_from(['""', '"floor held"', '"a\\u00e9"']),
+)
+_line_shapes = st.one_of(
+    _event_lines,
+    st.tuples(st.sampled_from([" ", "\t", "  \t"]), _event_lines,
+              st.sampled_from(["", " ", "\t"])).map("".join),
+    st.tuples(_event_lines, st.sampled_from([" ", "\t"])).map("".join),
+    _event_lines.map(lambda line: "\ufeff" + line),
+    st.sampled_from(["NaN", "Infinity", "-Infinity"]).map(
+        lambda token: event_line(time=token)),
+    st.just("1,2"),
+    # An object split over two lines:
+    st.integers(1, len(event_line()) - 1).map(
+        lambda cut: event_line()[:cut] + "\n" + event_line()[cut:]),
+    st.just('{"d":[{}\n{}]}'),
+    st.sampled_from([" {}", "x", ",", "]", " 1", "{}"]).map(
+        lambda tail: event_line() + tail),
+    st.just(event_line(time="9" * 4301)),
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["null", "[1, 2]", "1", '"text"', "{}"]),
+)
+
+
+class TestScannerFastPathMatchesDecode:
+    """``load_transcript`` gives the same events, or the same error, as
+    with the whole-line ``decode`` it had before the scanner call."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(header=st.one_of(st.just(HEADER), _line_shapes,
+                            st.just(" " + HEADER), st.just(HEADER + " ")),
+           lines=st.lists(_line_shapes, max_size=6))
+    def test_same_events_or_same_error(self, header, lines):
+        with tempfile.TemporaryDirectory() as directory:
+            target = Path(directory) / "t.jsonl"
+            target.write_text("\n".join([header, *lines]) + "\n",
+                              encoding="utf-8")
+            actual = load_outcome(load_transcript, target)
+            with mock.patch.object(transcript, "_parse_line", decode_parse_line):
+                expected = load_outcome(load_transcript, target)
+        assert actual == expected
 
 
 class TestFilename:

@@ -1,7 +1,10 @@
 """Tests for typed event payloads and event serialization."""
 
+import copy
 import math
+import pickle
 import typing
+from dataclasses import FrozenInstanceError, dataclass, field
 from types import MappingProxyType
 
 import pytest
@@ -264,3 +267,132 @@ class TestFromDictMatchesReference:
             assert repr(actual.time) == repr(expected.time)
             assert actual.kind is expected.kind
             assert type(actual.data) is type(expected.data)
+
+
+@dataclass(frozen=True)
+class ReferenceFloorEvent:
+    """``FloorEvent`` as the frozen dataclass it was before the slotted
+    record, kept as the oracle the record must match."""
+
+    __qualname__ = "FloorEvent"
+
+    time: float
+    kind: EventKind
+    member: str
+    group: str
+    detail: str = ""
+    data: typing.Mapping[str, typing.Any] | None = field(default=None, hash=False)
+
+    def __post_init__(self) -> None:
+        if self.data is not None and not isinstance(self.data, MappingProxyType):
+            object.__setattr__(self, "data", MappingProxyType(dict(self.data)))
+
+    payload = FloorEvent.payload
+    to_dict = FloorEvent.to_dict
+
+
+_event_data = st.one_of(
+    st.none(),
+    st.just({}),
+    st.just({"mode": "equal_control"}),
+    st.just({"reason": None, "mode": "free_access", "position": 2}),
+    st.just({"to": "b", "nested": {"path": [1, {"deep": True}]}}),
+    st.just(MappingProxyType({"mode": "equal_control"})),
+    st.dictionaries(st.sampled_from(["mode", "to", "reason", "accepted"]),
+                    st.one_of(st.none(), st.booleans(), st.sampled_from("ab")),
+                    max_size=2),
+)
+#: Small pools, so generated pairs often share fields and equality is
+#: exercised both ways; ``math.nan`` is one object, equal to itself only
+#: through the identity check tuple comparison makes.
+_event_args = st.tuples(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan]),
+    st.sampled_from(list(EventKind)),
+    st.sampled_from(["a", "b"]),
+    st.sampled_from(["session", "session/sub0"]),
+    st.sampled_from(["", "b", "equal_control"]),
+    _event_data,
+)
+
+
+def _pairs(args):
+    return FloorEvent(*args), ReferenceFloorEvent(*args)
+
+
+class TestRecordMatchesDataclass:
+    @settings(max_examples=300, deadline=None)
+    @given(arguments=st.lists(_event_args, min_size=1, max_size=6))
+    def test_same_surface_as_the_dataclass(self, arguments):
+        events = [_pairs(args) for args in arguments]
+        for event, reference in events:
+            assert repr(event) == repr(reference)
+            assert event.to_dict() == reference.to_dict()
+            assert event.payload() == reference.payload()
+            assert hash(event) == hash(reference)
+            assert type(event.data) is type(reference.data)
+            assert event.__match_args__ == reference.__match_args__
+            # Two classes never compare equal, as with two dataclasses.
+            assert event != reference and reference != event
+        for event, reference in events:
+            for other, other_reference in events:
+                assert (event == other) is (reference == other_reference)
+                assert (event != other) is (reference != other_reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(args=_event_args,
+           name=st.sampled_from(["time", "kind", "member", "group",
+                                 "detail", "data", "extra"]))
+    def test_frozen_like_the_dataclass(self, args, name):
+        for record in _pairs(args):
+            with pytest.raises(FrozenInstanceError) as assigned:
+                setattr(record, name, 1)
+            assert str(assigned.value) == f"cannot assign to field {name!r}"
+            with pytest.raises(FrozenInstanceError) as deleted:
+                delattr(record, name)
+            assert str(deleted.value) == f"cannot delete field {name!r}"
+
+    def test_keyword_and_positional_construction_agree(self):
+        positional = FloorEvent(1.0, EventKind.GRANT, "a", "g", "x", {"k": 1})
+        keywords = FloorEvent(data={"k": 1}, detail="x", group="g",
+                              member="a", kind=EventKind.GRANT, time=1.0)
+        assert positional == keywords
+        assert FloorEvent(1.0, EventKind.JOIN, "a", "g").detail == ""
+
+    def test_data_proxy_is_reused_not_rewrapped(self):
+        proxy = MappingProxyType({"mode": "equal_control"})
+        assert FloorEvent(1.0, EventKind.REQUEST, "a", "g", data=proxy).data is proxy
+
+    def test_data_is_a_copy_of_the_callers_dict(self):
+        data = {"mode": "equal_control"}
+        event = FloorEvent(1.0, EventKind.REQUEST, "a", "g", data=data)
+        data["mode"] = "free_access"
+        assert event.data == {"mode": "equal_control"}
+
+
+class TestRecordCopies:
+    """Events with ``data`` pickle and deep-copy: the dataclass record
+    could not (``cannot pickle 'mappingproxy' object``)."""
+
+    EVENTS = (
+        FloorEvent(1.0, EventKind.JOIN, "a", "g"),
+        FloorEvent(2.0, EventKind.QUEUE, "b", "g", "floor held",
+                   data={"reason": "floor held", "position": 2,
+                         "nested": {"path": [1, 2]}}),
+        FloorEvent(3.0, EventKind.TOKEN_PASS, "a", "g", "b", data={}),
+    )
+
+    @pytest.mark.parametrize("event", EVENTS, ids=lambda event: event.kind.value)
+    @pytest.mark.parametrize("copier", [
+        pytest.param(lambda event: pickle.loads(pickle.dumps(event)), id="pickle"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+        pytest.param(copy.copy, id="copy"),
+    ])
+    def test_round_trip(self, event, copier):
+        restored = copier(event)
+        assert restored == event
+        assert hash(restored) == hash(event)
+        assert repr(restored) == repr(event)
+        assert type(restored.data) is type(event.data)
+        if event.data is not None:
+            with pytest.raises(TypeError):
+                restored.data["reason"] = "changed"

@@ -46,6 +46,21 @@ class TestValidation:
         with pytest.raises(ReproError, match=f"{field} must be finite"):
             FleetConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("mean_hold", 0.0, "mean_hold must be positive, got 0.0"),
+        ("mean_hold", -2.0, "mean_hold must be positive, got -2.0"),
+        ("request_rate", -1.0, "request_rate must be >= 0, got -1.0"),
+    ])
+    def test_rates_a_workload_cannot_run_rejected(self, field, value, message):
+        # A zero hold divided by zero in the stream; a negative one
+        # moved time backwards; a negative rate ran an empty fleet.
+        with pytest.raises(ReproError) as raised:
+            FleetConfig(**{field: value}).validate()
+        assert str(raised.value) == message
+
+    def test_zero_request_rate_accepted(self):
+        FleetConfig(request_rate=0.0).validate()
+
     def test_partition_needs_start(self):
         with pytest.raises(ReproError):
             FleetConfig(partition_start=None, partition_duration=2.0,

@@ -1,5 +1,6 @@
 """Tests for the fleet fabric: determinism, sharding, sweep and CLI glue."""
 
+import dataclasses
 import heapq
 import inspect
 import random
@@ -439,6 +440,39 @@ class TestSessionMajorOrder:
             assert len(folds) == 1 and len(traces) == 1
             spans += len(runs[0].spans)
         assert spans  # non-vacuous: the fleets really spanned
+
+
+class TestFacadeSubSecondTicks:
+    """A facade session's clock starts past its 1.0 s join warm-up, so
+    the first ticks of a sub-second fleet lie behind it: they run
+    nothing, and the fleet folds and traces as with whole ticks."""
+
+    @pytest.mark.parametrize("scenario", ["lecture", "seminar"])
+    def test_sub_second_ticks_match_whole_ticks(self, scenario):
+        base = _config(sessions=3, shards=2, members=4, duration=6.0,
+                       request_rate=12.0, scenario=scenario,
+                       engine="facade", tick=1.0)
+        expected = Fleet(base, trace=True).run()
+        expected_trace = dumps_trace(expected.spans, meta={"seed": base.seed})
+        assert expected.spans
+        for tick in (0.25, 0.5, 0.9):
+            config = dataclasses.replace(base, tick=tick)
+            for run in (Fleet(config, trace=True).run(),
+                        run_fleet(config, workers=2, trace=True)):
+                assert repr(run.to_metrics()) == repr(expected.to_metrics())
+                assert dumps_trace(
+                    run.spans, meta={"seed": config.seed}
+                ) == expected_trace
+
+    def test_deadline_at_now_runs_the_events_due_then(self):
+        session = make_session(0, _config(sessions=1, engine="facade"))
+        now = session.session.now()
+        ran = []
+        session.session.clock.call_at(now, ran.append, now)
+        assert session.advance(now - 0.5) == 0
+        assert ran == []
+        assert session.advance(now) >= 1
+        assert ran == [now]
 
 
 class TestBatchedArbitration:

@@ -28,6 +28,25 @@ class TestGenerator:
         with pytest.raises(ReproError):
             generate("rave", WorkloadConfig())
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("mean_hold", 0.0, "mean_hold must be positive, got 0.0"),
+        ("mean_hold", -2.0, "mean_hold must be positive, got -2.0"),
+        ("request_rate", -1.0, "request_rate must be >= 0, got -1.0"),
+        ("mean_hold", float("nan"), "mean_hold must be finite, got nan"),
+        ("request_rate", float("inf"), "request_rate must be finite, got inf"),
+        ("duration", float("-inf"), "duration must be finite, got -inf"),
+        ("duration", float("nan"), "duration must be finite, got nan"),
+    ])
+    def test_config_refuses_rates_no_workload_can_run(self, field, value, message):
+        # Only constructed, never generated: a negative seminar hold
+        # never ends, and a zero lecture hold divides by zero.
+        with pytest.raises(ReproError) as raised:
+            WorkloadConfig(**{field: value})
+        assert str(raised.value) == message
+
+    def test_config_accepts_a_zero_request_rate(self):
+        assert WorkloadConfig(request_rate=0.0).request_rate == 0.0
+
     def test_seed_determinism(self):
         config = WorkloadConfig(members=5, duration=40.0, seed=7)
         assert generate("lecture", config) == generate("lecture", config)
