@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 __all__ = [
-    "best_of_rate",
+    "best_of_rates",
     "heap_delta",
     "live_heap",
     "measure_seconds",
@@ -38,18 +38,28 @@ def measure_seconds(fn: Callable[..., Any], *args: Any, **kwargs: Any):
     return result, time.perf_counter() - start
 
 
-def best_of_rate(units: int, run: Callable[[], float], repeats: int = 3) -> float:
-    """Best-of-N throughput: ``max(units / run())`` over ``repeats``.
+def best_of_rates(
+    units: int, runs: Mapping[str, Callable[[], float]], repeats: int = 3
+) -> dict[str, float]:
+    """Best-of-N throughput of each run: ``max(units / run())`` over
+    ``repeats``, the runs taking turns repeat by repeat.
 
-    ``run`` executes one full workload and returns the wall seconds it
-    measured (so callers control exactly which region is timed — e.g.
-    E16's ``drive`` excludes engine construction).  Taking the *best*
-    repeat is deliberate: scheduler noise only ever slows a run down,
-    so the max rate is the least-noisy estimate of the code's speed.
+    Each ``run`` executes one full workload and returns the wall seconds
+    it measured (so callers control exactly which region is timed —
+    e.g. E16's ``drive`` excludes engine construction).  Taking the
+    *best* repeat is deliberate: scheduler noise only ever slows a run
+    down, so the max rate is the least-noisy estimate of the code's
+    speed.  Taking turns keeps a ratio of two rates fair: a slow spell
+    of the host then lands on repeats of both runs, not on every repeat
+    of the faster one.
     """
     if repeats < 1:
-        raise ValueError("best_of_rate needs at least one repeat")
-    return max(units / run() for _ in range(repeats))
+        raise ValueError("best_of_rates needs at least one repeat")
+    best = dict.fromkeys(runs, 0.0)
+    for __ in range(repeats):
+        for name, run in runs.items():
+            best[name] = max(best[name], units / run())
+    return best
 
 
 def peak_memory(fn: Callable[..., Any], *args: Any, **kwargs: Any):

@@ -5,7 +5,11 @@ Property checking is a ``stop`` callback on the one explorer of
 Before each expansion the callback evaluates the properties on what
 the search gained since its last call: safety on every newly found
 state, deadlock, firings and over-budget successors on the state just
-expanded.  A violation surfaces with a replayable firing trace without
+expanded.  A newly found state is tested only against the undecided
+safety properties its discovering firing can raise: a linear one when
+that firing adds to its weighted sum, a non-linear one always.  The
+initial state and the over-budget successors are tested against all
+of them.  A violation surfaces with a replayable firing trace without
 materialising the whole graph, and the search stops once every
 property is decided.  :meth:`ExplicitEngine.explore` is the plain
 exploration.
@@ -115,8 +119,14 @@ class ExplicitEngine:
     def check(self, properties: Iterable[Property]) -> "CheckReport":
         """Explore with on-the-fly evaluation of ``properties``.
 
-        Safety predicates are evaluated on every discovered marking;
-        the search keeps going until every property is decided or the
+        Safety predicates are decided on every discovered marking.  A
+        marking is tested only against the undecided ones its
+        discovering firing can raise (a linear property when the firing
+        adds to its weighted sum, an ``Invariant`` always): its parent
+        was tested earlier against every one still undecided, and a
+        firing that does not raise a linear sum cannot push it past its
+        bound, so verdicts and evidence are those of testing them all.
+        The search keeps going until every property is decided or the
         state budget runs out, so one sweep serves the whole batch.
         """
         props = tuple(properties)
@@ -154,14 +164,30 @@ class ExplicitEngine:
                     safety.append((slot, prop, sparse, bound))
                 else:
                     safety.append((slot, prop, None, 0))
+        # transition index -> the undecided safety entries its firing
+        # can raise, in ``safety`` order: a linear one when the firing
+        # adds to its weighted sum, any other one always.  A new state
+        # is tested only against those of the firing that found it.
+        coefficients = [
+            None if sparse is None else dict(sparse) for __, __, sparse, __ in safety
+        ]
+        raised = [
+            [
+                entry
+                for entry, coeffs in zip(safety, coefficients)
+                if coeffs is None
+                or sum(coeffs.get(index, 0) * change for index, change in delta) > 0
+            ]
+            for delta in compiled.delta
+        ]
         undecided = len(props)
         found = 0  # states already checked for safety
 
-        def violated(state: Sequence[int]) -> list[int]:
+        def violated(state: Sequence[int], entries: list) -> list[int]:
             slots = []
             marking = None  # built once per state, only if some
             # non-linear property still needs a dict view
-            for slot, prop, sparse, bound in safety:
+            for slot, prop, sparse, bound in entries:
                 if sparse is not None:
                     total = 0
                     for index, coeff in sparse:
@@ -199,6 +225,8 @@ class ExplicitEngine:
             for slot in slots:
                 decide(slot, Verdict.VIOLATED, states, counterexample=counterexample)
             safety[:] = [entry for entry in safety if verdicts[entry[0]] is None]
+            for entries in raised:
+                entries[:] = [entry for entry in entries if verdicts[entry[0]] is None]
 
         def settle(exploration: Exploration, index: int) -> None:
             # State ``index`` has just been expanded.  Deadlock means no
@@ -236,7 +264,7 @@ class ExplicitEngine:
                     if t in fired or not compiled.enabled(current, t):
                         continue
                     successor = compiled.fire(current, t)
-                    slots = violated(successor)
+                    slots = violated(successor, safety)
                     if slots:
                         violate(
                             exploration,
@@ -250,8 +278,16 @@ class ExplicitEngine:
             nonlocal found
             states = exploration.states
             if safety:
+                # The state that found state ``j`` was tested earlier
+                # against every entry still undecided, and a firing that
+                # does not raise a linear sum cannot push it past its
+                # bound: only the initial state needs every entry.
+                parent = exploration.parent
                 for j in range(found, len(states)):
-                    slots = violated(states[j])
+                    entries = raised[parent[j][1]] if j else safety
+                    if not entries:
+                        continue
+                    slots = violated(states[j], entries)
                     if slots:  # trace reconstruction is O(depth)
                         violate(
                             exploration,

@@ -6,9 +6,14 @@ kinds of conditions during the presentation").  This module provides the
 verification side:
 
 * :class:`CompiledNet` / :func:`explore` — the one state-space
-  search: a net lowered once to index arrays, states interned as
-  fixed-place-order counts tuples, breadth-first, with parent pointers
-  for firing traces.  Every verdict below runs on it, and so does
+  search: a net lowered once to index arrays, breadth-first, with
+  parent pointers for firing traces.  Markings are interned by one
+  packed integer each (every count in a field wide enough for any
+  count the budget can reach, so a firing's successor key is one
+  addition), and each state carries its enabled transitions as a bit
+  mask that a firing updates only where it can change it; the
+  states themselves are kept as fixed-place-order counts tuples.
+  Every verdict below runs on it, and so does
   :mod:`repro.check.explicit`, whose property checks are a ``stop``
   callback on the same search;
 * :func:`reachability_graph` — the ``Marking`` view of one
@@ -165,6 +170,7 @@ class CompiledNet:
         "pre",
         "delta",
         "capacity_checks",
+        "affected",
     )
 
     def __init__(self, net: PetriNet) -> None:
@@ -202,6 +208,22 @@ class CompiledNet:
                 stays_minus = inputs.get(place, 0)
                 checks.append((index_of[place], weight - stays_minus, capacity))
             self.capacity_checks.append(checks)
+        # A transition's enabledness reads its input places and its
+        # capacity-checked output places, and nothing else.
+        readers: list[list[int]] = [[] for __ in self.codec.places]
+        for transition_index, (pre, checks) in enumerate(
+            zip(self.pre, self.capacity_checks)
+        ):
+            for index, __ in pre:
+                readers[index].append(transition_index)
+            for index, __, __ in checks:
+                readers[index].append(transition_index)
+        #: per transition: the transitions whose enabledness its firing
+        #: can change (the readers of the places it changes), ascending
+        self.affected: list[tuple[int, ...]] = [
+            tuple(sorted({other for index, __ in delta for other in readers[index]}))
+            for delta in self.delta
+        ]
 
     def initial_counts(self) -> tuple[int, ...]:
         """The net's current marking as a counts tuple."""
@@ -299,6 +321,26 @@ class Exploration:
         return graph
 
 
+def _enabled_bits(
+    counts: Sequence[int],
+    tests: list[tuple[int, list[tuple[int, int]], list[tuple[int, int, int]]]],
+) -> int:
+    """The OR of the bits of the ``(bit, inputs, capacity checks)``
+    tests that ``counts`` passes (:meth:`CompiledNet.enabled` inlined)."""
+    mask = 0
+    for bit, pre, checks in tests:
+        for index, required in pre:
+            if counts[index] < required:
+                break
+        else:
+            for index, inflow, capacity in checks:
+                if counts[index] + inflow > capacity:
+                    break
+            else:
+                mask |= bit
+    return mask
+
+
 def explore(
     compiled: CompiledNet,
     max_states: int,
@@ -306,9 +348,9 @@ def explore(
 ) -> Exploration:
     """Breadth-first exploration of up to ``max_states`` markings.
 
-    States are expanded in discovery order.  An edge to a marking that
-    no longer fits the budget is dropped and the result is marked
-    ``complete=False``.
+    States are expanded in discovery order, each one's successors in
+    transition-index order.  An edge to a marking that no longer fits
+    the budget is dropped and the result is marked ``complete=False``.
 
     ``stop(exploration, index)`` is called before state ``index`` is
     expanded, for ``index`` = 0, 1, 2, …: states below ``index`` are
@@ -316,6 +358,22 @@ def explore(
     far.  A true result ends the search with ``complete=False``.  A
     search that runs out of states makes one last call, with
     ``len(states)``, whose result is ignored.
+
+    A firing costs only what it changes.  Each marking is interned by
+    one integer that packs its counts, place ``i`` in the ``width``
+    bits from bit ``width * i``, and a firing's successor key is the
+    source key plus the transition's packed change.  ``width`` is the
+    bit length of ``max(initial) + max_states * gain``, where ``gain``
+    is the largest increase one firing makes at one place.  No field
+    can overflow into the next: a state within the budget is reached
+    by fewer than ``max_states`` firings, so no count of it, or of a
+    successor of it (even one dropped for the budget), exceeds that
+    bound; and only enabled transitions fire, so no count goes below
+    zero.  Each state also carries its enabled transitions as a bit
+    mask.  A new state inherits its parent's mask and re-tests only the
+    transitions that read a place the firing changed
+    (:attr:`CompiledNet.affected`).  The counts tuple is built only for
+    a state seen for the first time.
 
     Raises
     ------
@@ -330,23 +388,36 @@ def explore(
     succ = exploration.succ
     parent = exploration.parent
     initial = compiled.initial_counts()
-    # A counts tuple is its own interning key, so a new state is
-    # stored once for both the visited map and ``states``.
-    index_of: dict[_MarkingKey, int] = {initial: 0}
+    gain = max(
+        (change for delta in compiled.delta for __, change in delta if change > 0),
+        default=0,
+    )
+    width = (max(initial, default=0) + max_states * gain).bit_length()
+    steps = [
+        sum(change << width * index for index, change in delta)
+        for delta in compiled.delta
+    ]
+    bits = [1 << transition_index for transition_index in range(len(steps))]
+    tests = list(zip(bits, compiled.pre, compiled.capacity_checks))
+    # Per transition, what a new state found by it needs: the counts
+    # change, the mask of the bits the firing leaves alone, and the
+    # enabledness tests of the transitions it can affect.
+    news = [
+        (
+            delta,
+            ~sum(bits[other] for other in affected),
+            [tests[other] for other in affected],
+        )
+        for delta, affected in zip(compiled.delta, compiled.affected)
+    ]
+    key = sum(count << width * index for index, count in enumerate(initial))
+    index_of: dict[int, int] = {key: 0}
     index_get = index_of.get
+    keys = [key]
+    masks = [_enabled_bits(initial, tests)]
     states.append(initial)
     succ.append([])
     parent.append((-1, -1))
-    # Enabledness and firing are inlined from CompiledNet's methods:
-    # this loop runs once per edge.
-    rules = list(
-        zip(
-            range(len(compiled.transitions)),
-            compiled.pre,
-            compiled.capacity_checks,
-            compiled.delta,
-        )
-    )
     # States are appended in discovery order and expanded first in,
     # first out, so the BFS queue is just the next index to expand.
     current_index = 0
@@ -354,32 +425,32 @@ def explore(
         if stop is not None and stop(exploration, current_index):
             exploration.complete = False
             return exploration
-        current = states[current_index]
+        current_key = keys[current_index]
+        current_mask = masks[current_index]
         out = succ[current_index]
-        for transition_index, pre, capacity_checks, delta in rules:
-            for index, required in pre:
-                if current[index] < required:
-                    break
-            else:
-                for index, inflow, capacity in capacity_checks:
-                    if current[index] + inflow > capacity:
-                        break
-                else:
-                    successor = list(current)
-                    for index, change in delta:
-                        successor[index] += change
-                    key = tuple(successor)
-                    target = index_get(key)
-                    if target is None:
-                        if len(states) >= max_states:
-                            exploration.complete = False
-                            continue
-                        target = len(states)
-                        index_of[key] = target
-                        states.append(key)
-                        succ.append([])
-                        parent.append((current_index, transition_index))
-                    out.append((transition_index, target))
+        pending = current_mask
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            transition_index = bit.bit_length() - 1
+            key = current_key + steps[transition_index]
+            target = index_get(key)
+            if target is None:
+                if len(states) >= max_states:
+                    exploration.complete = False
+                    continue
+                target = len(states)
+                index_of[key] = target
+                keys.append(key)
+                delta, keep, retests = news[transition_index]
+                successor = list(states[current_index])
+                for index, change in delta:
+                    successor[index] += change
+                masks.append(current_mask & keep | _enabled_bits(successor, retests))
+                states.append(tuple(successor))
+                succ.append([])
+                parent.append((current_index, transition_index))
+            out.append((transition_index, target))
         current_index += 1
     if stop is not None:
         stop(exploration, current_index)

@@ -44,6 +44,20 @@ from ..errors import (
 __all__ = ["Place", "Transition", "Marking", "PetriNet"]
 
 
+def _check_count(value: object, what: str) -> None:
+    """Refuse anything but an ``int`` that is not a ``bool``: token
+    counts, capacities and arc weights are whole numbers, and a float
+    or NaN would silently break every firing and search built on them.
+
+    Raises
+    ------
+    PetriNetError
+        Naming ``what`` and the value.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PetriNetError(f"{what} must be an int, got {value!r}")
+
+
 @dataclass
 class Place:
     """A place (condition / resource holder) in the net.
@@ -67,6 +81,9 @@ class Place:
     label: str | None = None
 
     def __post_init__(self) -> None:
+        _check_count(self.tokens, f"place {self.name!r}: tokens")
+        if self.capacity is not None:
+            _check_count(self.capacity, f"place {self.name!r}: capacity")
         if self.tokens < 0:
             raise PetriNetError(f"place {self.name!r}: negative tokens")
         if self.capacity is not None and self.capacity < self.tokens:
@@ -173,7 +190,16 @@ class PetriNet:
 
         Exactly one endpoint must be a place and the other a transition.
         Adding an arc that already exists accumulates its weight.
+
+        Raises
+        ------
+        PetriNetError
+            On a weight that is not an ``int`` >= 1, or an arc that
+            does not join a place and a transition.
+        UnknownNodeError
+            When an endpoint does not exist.
         """
+        _check_count(weight, "arc weight")
         if weight < 1:
             raise PetriNetError(f"arc weight must be >= 1, got {weight!r}")
         if source in self._places and target in self._transitions:
@@ -245,9 +271,16 @@ class PetriNet:
     # ------------------------------------------------------------------
     def set_marking(self, marking: Mapping[str, int]) -> None:
         """Replace the current marking (places absent from the mapping
-        get zero tokens)."""
+        get zero tokens).
+
+        Raises
+        ------
+        PetriNetError
+            On a count that is not an ``int`` >= 0.
+        """
         for place, count in marking.items():
             self._check_place(place)
+            _check_count(count, f"tokens for place {place!r}")
             if count < 0:
                 raise PetriNetError(f"negative tokens for place {place!r}")
         self._marking = Marking({name: 0 for name in self._places})
@@ -261,8 +294,15 @@ class PetriNet:
         self._fire_count = 0
 
     def put_token(self, place: str, count: int = 1) -> None:
-        """Inject ``count`` tokens into ``place`` (external event)."""
+        """Inject ``count`` tokens into ``place`` (external event).
+
+        Raises
+        ------
+        PetriNetError
+            On a count that is not an ``int`` >= 0.
+        """
         self._check_place(place)
+        _check_count(count, "token count")
         if count < 0:
             raise PetriNetError("cannot put a negative number of tokens")
         self._marking[place] += count
@@ -273,9 +313,13 @@ class PetriNet:
         Raises
         ------
         PetriNetError
-            If the place holds fewer than ``count`` tokens.
+            On a count that is not an ``int`` >= 0, or if the place
+            holds fewer than ``count`` tokens.
         """
         self._check_place(place)
+        _check_count(count, "token count")
+        if count < 0:
+            raise PetriNetError("cannot take a negative number of tokens")
         if self._marking[place] < count:
             raise PetriNetError(
                 f"place {place!r} holds {self._marking[place]} tokens, "

@@ -1,7 +1,9 @@
 """Tests for the explicit-state engine: equivalence with the dict-BFS
-oracle and with the engine's former hand-inlined loop, counterexample
-traces, budgets, the explorer's ``stop`` hook, and verdict semantics."""
+oracle, with the engine's former hand-inlined loop and with its own
+check-everything safety pass, counterexample traces, budgets, the
+explorer's ``stop`` hook, and verdict semantics."""
 
+from bisect import bisect_left
 from collections import deque
 
 import pytest
@@ -29,7 +31,14 @@ from repro.core.modes import FCMMode
 from repro.errors import CheckError
 from repro.petri.analysis import explore, reachability_graph
 from repro.petri.net import PetriNet
-from test_petri_analysis import BUDGETS, dict_bfs_graph, repo_nets, small_nets
+from test_petri_analysis import (
+    BUDGETS,
+    dict_bfs_graph,
+    oracle_explore,
+    repo_nets,
+    small_nets,
+    wide_nets,
+)
 
 
 def race_net():
@@ -660,3 +669,278 @@ class TestAgreementWithFormerLoop:
     def test_generated_nets(self, case):
         net, props = case
         assert_same_check(net, props)
+
+
+# ---------------------------------------------------------------------
+# The raise filter: ExplicitEngine.check against the same property
+# checks testing every new state against every undecided safety
+# property, kept here as the oracle.
+# ---------------------------------------------------------------------
+
+
+def oracle_check(net, properties, max_states):
+    """``ExplicitEngine.check`` before a new state was tested only
+    against the safety properties its discovering firing can raise:
+    every new state is tested against every undecided one, on the
+    counts-tuple explorer ``oracle_explore``."""
+    props = tuple(properties)
+    compiled = CompiledNet(net)
+    for prop in props:
+        prop.validate_against(net)
+    codec = compiled.codec
+    transitions = compiled.transitions
+    verdicts = [None] * len(props)
+    safety = []
+    deadlock_slots = []
+    eventually = {}
+    for slot, prop in enumerate(props):
+        if isinstance(prop, EventuallyFires):
+            eventually.setdefault(
+                transitions.index(prop.transition), []
+            ).append(slot)
+        elif isinstance(prop, DeadlockFree):
+            deadlock_slots.append(slot)
+        else:
+            linear = prop.linear_bound()
+            if linear is not None:
+                coeffs, bound = linear
+                sparse = [
+                    (codec.index_of(place), coeff)
+                    for place, coeff in coeffs.items()
+                ]
+                safety.append((slot, prop, sparse, bound))
+            else:
+                safety.append((slot, prop, None, 0))
+    undecided = len(props)
+    found = 0
+
+    def violated(state):
+        slots = []
+        marking = None
+        for slot, prop, sparse, bound in safety:
+            if sparse is not None:
+                total = 0
+                for index, coeff in sparse:
+                    total += coeff * state[index]
+                if total > bound:
+                    slots.append(slot)
+            else:
+                if marking is None:
+                    marking = codec.marking(state)
+                if prop.violated_by(marking):
+                    slots.append(slot)
+        return slots
+
+    def decide(slot, verdict, states, **evidence):
+        nonlocal undecided
+        verdicts[slot] = PropertyVerdict(
+            prop=props[slot],
+            verdict=verdict,
+            method="explicit",
+            states=states,
+            **evidence,
+        )
+        undecided -= 1
+
+    def violate(exploration, slots, trace, marking, states):
+        counterexample = Counterexample(
+            trace=trace, marking=marking, start=exploration.marking_of(0)
+        )
+        for slot in slots:
+            decide(slot, Verdict.VIOLATED, states, counterexample=counterexample)
+        safety[:] = [entry for entry in safety if verdicts[entry[0]] is None]
+
+    def settle(exploration, index):
+        current = exploration.states[index]
+        out = exploration.succ[index]
+        if deadlock_slots and not out and not any(
+            compiled.enabled(current, t) for t in range(len(transitions))
+        ):
+            violate(
+                exploration,
+                list(deadlock_slots),
+                exploration.trace_to(index),
+                exploration.marking_of(index),
+                len(exploration.states),
+            )
+            deadlock_slots.clear()
+        for t in [t for t in eventually if compiled.enabled(current, t)]:
+            witness = exploration.trace_to(index) + (transitions[t],)
+            states = bisect_left(exploration.parent, (index, t))
+            for slot in eventually.pop(t):
+                decide(slot, Verdict.PROVED, states, witness=witness)
+        if safety and len(exploration.states) >= max_states:
+            fired = {t for t, __ in out}
+            for t in range(len(transitions)):
+                if t in fired or not compiled.enabled(current, t):
+                    continue
+                successor = compiled.fire(current, t)
+                slots = violated(successor)
+                if slots:
+                    violate(
+                        exploration,
+                        slots,
+                        exploration.trace_to(index) + (transitions[t],),
+                        codec.marking(successor),
+                        len(exploration.states),
+                    )
+
+    def stop(exploration, index):
+        nonlocal found
+        states = exploration.states
+        if safety:
+            for j in range(found, len(states)):
+                slots = violated(states[j])
+                if slots:
+                    violate(
+                        exploration,
+                        slots,
+                        exploration.trace_to(j),
+                        exploration.marking_of(j),
+                        j + 1,
+                    )
+        found = len(states)
+        if index:
+            settle(exploration, index - 1)
+        return not undecided
+
+    exploration = oracle_explore(compiled, max_states, stop if props else None)
+    explored = len(exploration)
+    complete = exploration.complete
+    for slot, prop in enumerate(props):
+        if verdicts[slot] is not None:
+            continue
+        if complete:
+            verdict = (
+                Verdict.VIOLATED
+                if isinstance(prop, EventuallyFires)
+                else Verdict.PROVED
+            )
+            note = (
+                "transition never fires in the complete state space"
+                if verdict is Verdict.VIOLATED
+                else f"holds on all {explored} reachable markings"
+            )
+        else:
+            verdict = Verdict.UNKNOWN
+            note = (
+                f"undecided within the {max_states}-state "
+                f"budget ({explored} explored)"
+            )
+        decide(slot, verdict, explored, note=note)
+    return CheckReport(
+        net_name=net.name,
+        verdicts=tuple(verdicts),
+        explored=explored,
+        complete=complete,
+    )
+
+
+def check_outcome(check):
+    """The fields of the report ``check()`` returns, or the message of
+    the ``CheckError`` it raises."""
+    try:
+        return report_fields(check())
+    except CheckError as error:
+        return "CheckError", str(error)
+
+
+def assert_same_as_oracle(net, props, budgets):
+    for budget in budgets:
+        actual = check_outcome(
+            lambda: ExplicitEngine(net, max_states=budget).check(props)
+        )
+        expected = check_outcome(lambda: oracle_check(net, props, budget))
+        assert actual == expected, budget
+
+
+@st.composite
+def nets_with_safety_mixes(draw):
+    """A small or wide generated net with a transition enabled, and up
+    to eight properties of all five kinds with a duplicate.  Bounds sit zero to three of the net's
+    largest output weights above the initial counts, so that violations
+    come some firings in.  One ``Invariant`` is linear, one is not, and
+    one divides by ``place - k``: it never fails, but raises
+    ``CheckError`` at the first marking with ``k`` tokens there."""
+    net = draw(
+        (small_nets() | wide_nets(min_places=1)).filter(
+            lambda net: net.enabled_transitions()
+        )
+    )
+    marking = net.marking()
+    unit = max(
+        (weight for t in net.transitions for weight in net.outputs(t).values()),
+        default=1,
+    )
+
+    def headroom(names):
+        initial = sum(marking[name] for name in names)
+        return st.integers(0, 3).map(lambda k: initial + k * unit)
+
+    place = st.sampled_from(sorted(net.places))
+    pair = st.tuples(place, place)
+    kinds = [
+        st.just(DeadlockFree()),
+        place.flatmap(lambda p: st.builds(PlaceBound, st.just(p), headroom([p]))),
+        st.lists(place, min_size=1, unique=True).flatmap(
+            lambda names: st.builds(
+                Mutex, st.just(tuple(names)), bound=headroom(names)
+            )
+        ),
+        pair.flatmap(
+            lambda ab: headroom(ab).map(lambda k: Invariant(f"{ab[0]} + {ab[1]} <= {k}"))
+        ),
+        pair.flatmap(
+            lambda ab: headroom(ab).map(
+                lambda k: Invariant(f"{ab[0]} * {ab[1]} <= {k * k}")
+            )
+        ),
+        pair.flatmap(
+            lambda ab: headroom(ab[1:]).map(
+                lambda k: Invariant(f"{ab[0]} // ({ab[1]} - {k}) <= {ab[0]}")
+            )
+        ),
+    ]
+    if net.transitions:
+        kinds.append(st.builds(EventuallyFires, st.sampled_from(list(net.transitions))))
+    props = draw(st.lists(st.one_of(kinds), max_size=8))
+    if props and draw(st.booleans()):
+        props.insert(draw(st.integers(0, len(props))), draw(st.sampled_from(props)))
+    return net, props
+
+
+class TestRaiseFilterMatchesOracle:
+    """Testing a new state only against the safety properties its
+    discovering firing can raise gives the same reports, or the same
+    ``CheckError``, as testing it against every undecided one."""
+
+    @pytest.mark.parametrize(
+        "name,net,props", fixed_cases(), ids=[c[0] for c in fixed_cases()]
+    )
+    def test_fixed_nets(self, name, net, props):
+        safety = [PlaceBound(place, 1) for place in net.places]
+        safety += [Mutex(tuple(sorted(net.places)), bound=2)]
+        assert_same_as_oracle(net, props + safety + [DeadlockFree()], BUDGETS)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        case=nets_with_safety_mixes(),
+        budgets=st.lists(st.integers(1, 500), min_size=1, max_size=3),
+    )
+    def test_generated_nets(self, case, budgets):
+        net, props = case
+        assert_same_as_oracle(net, props, budgets)
+
+    def test_evaluation_error_surfaces_at_the_same_state(self):
+        # ``b // (a - 2)`` fails only once ``a`` holds two tokens, two
+        # firings in: the filter must not skip the state that raises.
+        net = PetriNet("pump")
+        net.add_place("a")
+        net.add_place("b", tokens=1)
+        net.add_transition("fill")
+        net.add_arc("fill", "a")
+        props = [PlaceBound("a", 5), Invariant("b // (a - 2) <= 1")]
+        assert_same_as_oracle(net, props, (1, 2, 3, 4, 10))
+        with pytest.raises(CheckError, match="'a': 2"):
+            ExplicitEngine(net, max_states=10).check(props)
+

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import SCHEMA_VERSION, load_document
+
+GOLDEN_DIR = Path(__file__).parents[1] / "benchmarks" / "golden"
 
 
 class TestParser:
@@ -287,8 +291,11 @@ class TestCheck:
             )
             assert "PROVED" in row
             assert "invariant" in row or "state-equation" in row
-        assert (tmp_path / "CHECK_floor_safety.json").exists()
-        assert (tmp_path / "CHECK_figure1.json").exists()
+        # The verdict documents, state counts and counterexamples
+        # included, are pinned byte for byte.
+        for name in ("CHECK_figure1", "CHECK_floor_safety"):
+            golden = GOLDEN_DIR / f"{name}.golden.json"
+            assert (tmp_path / f"{name}.json").read_bytes() == golden.read_bytes()
 
     def test_suite_with_out_path(self, tmp_path, capsys):
         out = tmp_path / "verdicts.json"

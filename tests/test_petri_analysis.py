@@ -11,11 +11,14 @@ from repro.check.nets import floor_model, product_cycles
 from repro.core.modes import FCMMode
 from repro.errors import PetriNetError
 from repro.petri.analysis import (
+    CompiledNet,
+    Exploration,
     MarkingCodec,
     ReachabilityGraph,
     bound_of,
     conservative_weights,
     dead_transitions,
+    explore,
     find_deadlocks,
     incidence_matrix,
     is_bounded,
@@ -577,6 +580,215 @@ class TestAgreementWithOracles:
 
     def test_bounded_product_of_4096_markings(self):
         assert is_bounded(product_cycles(6, 4)) is True
+
+
+def oracle_explore(compiled, max_states, stop=None):
+    """``explore`` before markings were keyed by packed integers and
+    enabled sets were carried per state: every state tests every
+    transition, and a successor is keyed by its counts tuple."""
+    exploration = Exploration(
+        codec=compiled.codec, transitions=compiled.transitions, compiled=compiled
+    )
+    states = exploration.states
+    succ = exploration.succ
+    parent = exploration.parent
+    initial = compiled.initial_counts()
+    index_of = {initial: 0}
+    index_get = index_of.get
+    states.append(initial)
+    succ.append([])
+    parent.append((-1, -1))
+    rules = list(
+        zip(
+            range(len(compiled.transitions)),
+            compiled.pre,
+            compiled.capacity_checks,
+            compiled.delta,
+        )
+    )
+    current_index = 0
+    while current_index < len(states):
+        if stop is not None and stop(exploration, current_index):
+            exploration.complete = False
+            return exploration
+        current = states[current_index]
+        out = succ[current_index]
+        for transition_index, pre, capacity_checks, delta in rules:
+            for index, required in pre:
+                if current[index] < required:
+                    break
+            else:
+                for index, inflow, capacity in capacity_checks:
+                    if current[index] + inflow > capacity:
+                        break
+                else:
+                    successor = list(current)
+                    for index, change in delta:
+                        successor[index] += change
+                    key = tuple(successor)
+                    target = index_get(key)
+                    if target is None:
+                        if len(states) >= max_states:
+                            exploration.complete = False
+                            continue
+                        target = len(states)
+                        index_of[key] = target
+                        states.append(key)
+                        succ.append([])
+                        parent.append((current_index, transition_index))
+                    out.append((transition_index, target))
+        current_index += 1
+    if stop is not None:
+        stop(exploration, current_index)
+    return exploration
+
+
+def recorded_exploration(explorer, compiled, budget, stop_at=None):
+    """Everything an exploration gives out, through a ``stop`` callback
+    that records each ``(index, len(states))`` call and returns true
+    from index ``stop_at`` on (never when ``None``)."""
+    calls = []
+
+    def stop(exploration, index):
+        calls.append((index, len(exploration.states)))
+        return stop_at is not None and index >= stop_at
+
+    exploration = explorer(compiled, budget, stop)
+    return (
+        calls,
+        exploration.states,
+        exploration.succ,
+        exploration.parent,
+        exploration.complete,
+    )
+
+
+#: Beyond any search here: keys this wide still intern exactly.  Only
+#: explored with a stop callback, which also ends unbounded nets.
+HUGE_BUDGET = 10**12
+
+
+def assert_same_exploration(net, stop_at=3):
+    compiled = CompiledNet(net)
+    for budget in BUDGETS:
+        expected = oracle_explore(compiled, budget)
+        actual = explore(compiled, budget)
+        assert (
+            actual.states, actual.succ, actual.parent, actual.complete
+        ) == (
+            expected.states, expected.succ, expected.parent, expected.complete
+        ), budget
+        for limit in (None, stop_at):
+            assert recorded_exploration(
+                explore, compiled, budget, limit
+            ) == recorded_exploration(oracle_explore, compiled, budget, limit), (
+                budget, limit
+            )
+    assert recorded_exploration(
+        explore, compiled, HUGE_BUDGET, 200
+    ) == recorded_exploration(oracle_explore, compiled, HUGE_BUDGET, 200)
+
+
+@st.composite
+def wide_nets(draw, min_places=0):
+    """0-6 places with tokens up to 10**6 and optional capacities, 0-6
+    transitions with weights up to 10**9, and arcs drawn freely: a
+    transition may have no input arc (a source) or share a place
+    between its inputs and outputs (a self-loop).  Most counts are
+    small multiples of one per-net scale, so that large weights still
+    enable some firings."""
+    net = PetriNet("wide")
+    scale = draw(st.sampled_from((1, 1000, 250_000)))
+    counts = st.integers(0, 4).map(lambda k: k * scale) | st.integers(0, 10**6)
+    places = draw(st.integers(min_places, 6))
+    for index in range(places):
+        tokens = draw(counts)
+        capacity = draw(st.none() | counts.map(lambda extra: tokens + extra))
+        net.add_place(f"p{index}", tokens=tokens, capacity=capacity)
+    weights = st.integers(1, 3).map(lambda k: k * scale) | st.integers(1, 10**9)
+    arcs = st.lists(st.integers(0, max(places - 1, 0)), max_size=3, unique=True)
+    for index in range(draw(st.integers(0, 6))):
+        transition = f"t{index}"
+        net.add_transition(transition)
+        if not places:
+            continue
+        for place in draw(arcs):
+            net.add_arc(f"p{place}", transition, weight=draw(weights))
+        for place in draw(arcs):
+            net.add_arc(transition, f"p{place}", weight=draw(weights))
+    return net
+
+
+class TestExplorerMatchesOracle:
+    """The same ``states``, ``succ``, ``parent`` and ``complete`` as the
+    counts-tuple explorer, at every budget, and the same ``stop`` calls
+    and early stop."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [factory for __, factory in repo_nets()],
+        ids=[name for name, __ in repo_nets()],
+    )
+    def test_repo_nets(self, factory):
+        assert_same_exploration(factory())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(net=small_nets(), stop_at=st.integers(0, 40))
+    def test_small_nets(self, net, stop_at):
+        assert_same_exploration(net, stop_at)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(net=wide_nets(), stop_at=st.integers(0, 40))
+    def test_wide_nets(self, net, stop_at):
+        assert_same_exploration(net, stop_at)
+
+    def test_nets_without_places_or_transitions(self):
+        empty = PetriNet("empty")
+        idle = PetriNet("idle")
+        idle.add_transition("tick")
+        marked = PetriNet("marked")
+        marked.add_place("p", tokens=10**6)
+        for net in (empty, idle, marked):
+            assert_same_exploration(net)
+            exploration = explore(CompiledNet(net), HUGE_BUDGET)
+            assert len(exploration.states) == 1 and exploration.complete
+
+    def test_counts_past_the_initial_width_stay_exact(self):
+        # The initial marking (1, 0) fits in one bit a place; keyed that
+        # narrow, (2, 0) and (0, 1) would share a key.
+        net = PetriNet("pump")
+        net.add_place("a", tokens=1)
+        net.add_place("b")
+        net.add_transition("more")
+        net.add_transition("move")
+        net.add_arc("a", "more")
+        net.add_arc("more", "a", weight=2)
+        net.add_arc("a", "move")
+        net.add_arc("move", "b")
+        assert_same_exploration(net)
+        exploration = explore(CompiledNet(net), 6)
+        assert exploration.states == [(1, 0), (2, 0), (0, 1), (3, 0), (1, 1), (4, 0)]
+        assert not exploration.complete
+
+    def test_capacity_readers_are_retested(self):
+        # Firing ``fill`` changes no input place of ``emit``, only the
+        # capacity-checked output place it shares with ``fill``.
+        net = PetriNet("capacity")
+        net.add_place("src", tokens=2)
+        net.add_place("out", capacity=1)
+        net.add_place("gen", tokens=1)
+        net.add_transition("fill")
+        net.add_transition("emit")
+        net.add_arc("src", "fill")
+        net.add_arc("fill", "out")
+        net.add_arc("gen", "emit")
+        net.add_arc("emit", "gen")
+        net.add_arc("emit", "out")
+        compiled = CompiledNet(net)
+        assert compiled.affected == [(0, 1), (0, 1)]
+        assert_same_exploration(net)
+        exploration = explore(compiled, 100)
+        assert exploration.succ == [[(0, 1), (1, 2)], [], []]
 
 
 # The two Gauss-Jordan copies place_invariants and

@@ -1,5 +1,7 @@
 """Tests for the place/transition net core."""
 
+import enum
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -311,3 +313,64 @@ class TestTokenConservationProperty:
                 break
             net.fire(data.draw(st.sampled_from(enabled)))
             assert all(count >= 0 for count in net.marking().values())
+
+
+#: Counts that are not whole numbers, each of which a net once stored:
+#: a fraction, NaN, an infinity, a ``bool`` and a numeric string.
+NOT_COUNTS = [2.5, float("nan"), float("inf"), True, "2"]
+
+
+class TestCountsAreInts:
+    """Tokens, capacities, arc weights and marking counts are ``int``s:
+    a float or NaN stored in a net breaks firing and every search."""
+
+    @pytest.mark.parametrize("value", NOT_COUNTS, ids=repr)
+    def test_place_tokens_refused(self, value):
+        with pytest.raises(PetriNetError, match="tokens must be an int"):
+            PetriNet().add_place("p", tokens=value)
+
+    @pytest.mark.parametrize("value", NOT_COUNTS, ids=repr)
+    def test_place_capacity_refused(self, value):
+        with pytest.raises(PetriNetError, match="capacity must be an int"):
+            PetriNet().add_place("p", tokens=1, capacity=value)
+
+    @pytest.mark.parametrize("value", NOT_COUNTS, ids=repr)
+    def test_arc_weight_refused(self, value):
+        net = simple_net()
+        with pytest.raises(PetriNetError, match="arc weight must be an int"):
+            net.add_arc("p1", "t", weight=value)
+        with pytest.raises(PetriNetError, match="arc weight must be an int"):
+            net.add_arc("t", "p2", weight=value)
+        assert net.inputs("t") == {"p1": 1}
+        assert net.outputs("t") == {"p2": 1}
+
+    @pytest.mark.parametrize("value", NOT_COUNTS, ids=repr)
+    def test_marking_counts_refused(self, value):
+        net = simple_net()
+        with pytest.raises(PetriNetError, match="must be an int"):
+            net.set_marking({"p1": value})
+        with pytest.raises(PetriNetError, match="must be an int"):
+            net.put_token("p1", value)
+        with pytest.raises(PetriNetError, match="must be an int"):
+            net.take_token("p1", value)
+        assert net.marking() == {"p1": 1, "p2": 0}
+
+    def test_take_negative_raises(self):
+        # Taking -5 tokens used to add five, past the place's capacity.
+        net = PetriNet()
+        net.add_place("a", tokens=1, capacity=2)
+        with pytest.raises(PetriNetError, match="negative"):
+            net.take_token("a", -5)
+        assert net.tokens("a") == 1
+
+    def test_int_subclasses_other_than_bool_accepted(self):
+        class Size(enum.IntEnum):
+            TWO = 2
+
+        net = PetriNet()
+        net.add_place("p", tokens=Size.TWO, capacity=Size.TWO)
+        net.add_transition("t")
+        net.add_arc("p", "t", weight=Size.TWO)
+        net.take_token("p", Size.TWO)
+        net.put_token("p", Size.TWO)
+        assert net.tokens("p") == 2
